@@ -409,12 +409,12 @@ int ShardSweep(size_t n, size_t d) {
       engine->ResetOnlineStats();
 
       // Accounting + bit-identity pass: one sweep over all queries.
+      ShardedPimEngine::QueryScratch scratch;
+      ShardedPimEngine::QueryHandleBatch handle;
       for (size_t q0 = 0; q0 < kTotalQueries; q0 += batch) {
-        auto run = engine->RunQueryBatch(
-            std::span<const float>(queries.data() + q0 * d, batch * d), batch);
-        PIMINE_CHECK(run.ok()) << run.status().ToString();
-        const ShardedPimEngine::QueryHandleBatch handle =
-            std::move(run).value();
+        PIMINE_CHECK_OK(engine->RunQueryBatch(
+            std::span<const float>(queries.data() + q0 * d, batch * d), batch,
+            &scratch, &handle));
         for (size_t bq = 0; bq < batch; ++bq) {
           for (size_t i = 0; i < n; ++i) {
             const double b = engine->BoundFor(handle, bq, i);
@@ -443,15 +443,11 @@ int ShardSweep(size_t n, size_t d) {
       const double interconnect_fraction =
           modeled_total_ns > 0.0 ? interconnect_ns / modeled_total_ns : 0.0;
 
-      ShardedPimEngine::QueryScratch scratch;
       const double ms = BestOfMs(3, [&] {
         for (size_t q0 = 0; q0 < kTotalQueries; q0 += batch) {
-          PIMINE_CHECK_OK(engine
-                              ->RunQueryBatch(
-                                  std::span<const float>(
-                                      queries.data() + q0 * d, batch * d),
-                                  batch, &scratch)
-                              .status());
+          PIMINE_CHECK_OK(engine->RunQueryBatch(
+              std::span<const float>(queries.data() + q0 * d, batch * d),
+              batch, &scratch, &handle));
         }
       });
       const double queries_per_s =

@@ -246,36 +246,6 @@ Status PimEngine::CheckQuery(std::span<const float> query) const {
   return Status::OK();
 }
 
-Result<PimEngine::QueryHandle> PimEngine::RunQuery(
-    std::span<const float> query) const {
-  QueryScratch scratch;
-  return RunQuery(query, &scratch);
-}
-
-Result<PimEngine::QueryHandle> PimEngine::RunQuery(
-    std::span<const float> query, QueryScratch* scratch) const {
-  PIMINE_ASSIGN_OR_RETURN(QueryHandleBatch batch,
-                          RunQueryBatch(query, /*num_queries=*/1, scratch));
-  // A one-query batch is exactly one single-query operation, so the views
-  // can be moved straight into the scalar handle.
-  QueryHandle handle;
-  handle.dots1 = std::move(batch.dots1);
-  handle.dots2 = std::move(batch.dots2);
-  handle.phi_q = batch.phi_q[0];
-  handle.sum_floor_q = batch.sum_floor_q[0];
-  handle.norm_q = batch.norm_q[0];
-  handle.phi_b_q = batch.phi_b_q[0];
-  handle.suspect1 = std::move(batch.suspect1);
-  handle.suspect2 = std::move(batch.suspect2);
-  return handle;
-}
-
-Result<PimEngine::QueryHandleBatch> PimEngine::RunQueryBatch(
-    std::span<const float> queries, size_t num_queries) const {
-  QueryScratch scratch;
-  return RunQueryBatch(queries, num_queries, &scratch);
-}
-
 namespace {
 
 /// Drops an all-clean suspect vector so downstream consumers keep the
@@ -498,14 +468,6 @@ Status PimEngine::SlackFillBatch(size_t num_queries,
   return Status::OK();
 }
 
-Result<PimEngine::QueryHandleBatch> PimEngine::RunQueryBatch(
-    std::span<const float> queries, size_t num_queries,
-    QueryScratch* scratch) const {
-  QueryHandleBatch batch;
-  PIMINE_RETURN_IF_ERROR(RunQueryBatch(queries, num_queries, scratch, &batch));
-  return batch;
-}
-
 Status PimEngine::RunQueryBatch(std::span<const float> queries,
                                 size_t num_queries, QueryScratch* scratch,
                                 QueryHandleBatch* batch) const {
@@ -681,63 +643,46 @@ double PimEngine::TrivialBound() const {
   return 0.0;
 }
 
-double PimEngine::CombineBound(size_t index, uint64_t dot1, uint64_t dot2,
-                               double phi_q, double sum_floor_q,
-                               double norm_q, double phi_b_q) const {
-  PIMINE_DCHECK(index < num_objects_);
-  switch (mode_) {
-    case EngineMode::kDirectEd:
-      return LbPimEdCombine(phi_[index], phi_q, dot1,
-                            static_cast<int64_t>(dims_), quantizer_.alpha());
-    case EngineMode::kSegmentFnn:
-      return LbPimFnnCombine(phi_[index], phi_q, dot1, dot2, num_segments_,
-                             segment_length_, quantizer_.alpha());
-    case EngineMode::kSegmentSm:
-      return LbPimSmCombine(phi_[index], phi_q, dot1, num_segments_,
-                            segment_length_, quantizer_.alpha());
-    case EngineMode::kCosine: {
-      const double ub_dot =
-          UbPimDotCombine(dot1, sum_floor_[index], sum_floor_q,
-                          static_cast<int64_t>(dims_), quantizer_.alpha());
-      return UbPimCosine(ub_dot, norm_[index], norm_q);
-    }
-    case EngineMode::kPearson: {
-      const double ub_dot =
-          UbPimDotCombine(dot1, sum_floor_[index], sum_floor_q,
-                          static_cast<int64_t>(dims_), quantizer_.alpha());
-      return UbPimPearson(ub_dot, static_cast<int64_t>(dims_), phi_b_[index],
-                          phi_b_q, norm_[index], norm_q);
-    }
-  }
-  PIMINE_CHECK(false) << "unreachable";
-  return 0.0;
-}
-
-double PimEngine::BoundFor(const QueryHandle& handle, size_t index) const {
-  if (device1_->tombstoned(index)) return PruneBound();
-  if ((!handle.suspect1.empty() && handle.suspect1[index] != 0) ||
-      (!handle.suspect2.empty() && handle.suspect2[index] != 0)) {
-    return TrivialBound();
-  }
-  return CombineBound(
-      index, handle.dots1[index],
-      mode_ == EngineMode::kSegmentFnn ? handle.dots2[index] : 0,
-      handle.phi_q, handle.sum_floor_q, handle.norm_q, handle.phi_b_q);
-}
-
 double PimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
                            size_t index) const {
   PIMINE_DCHECK(query < batch.num_queries);
+  PIMINE_DCHECK(index < num_objects_);
   if (device1_->tombstoned(index)) return PruneBound();
   const size_t off = query * batch.stride + index;
   if ((!batch.suspect1.empty() && batch.suspect1[off] != 0) ||
       (!batch.suspect2.empty() && batch.suspect2[off] != 0)) {
     return TrivialBound();
   }
-  return CombineBound(index, batch.dots1[off],
-                      mode_ == EngineMode::kSegmentFnn ? batch.dots2[off] : 0,
-                      batch.phi_q[query], batch.sum_floor_q[query],
-                      batch.norm_q[query], batch.phi_b_q[query]);
+  const uint64_t dot1 = batch.dots1[off];
+  switch (mode_) {
+    case EngineMode::kDirectEd:
+      return LbPimEdCombine(phi_[index], batch.phi_q[query], dot1,
+                            static_cast<int64_t>(dims_), quantizer_.alpha());
+    case EngineMode::kSegmentFnn:
+      return LbPimFnnCombine(phi_[index], batch.phi_q[query], dot1,
+                             batch.dots2[off], num_segments_, segment_length_,
+                             quantizer_.alpha());
+    case EngineMode::kSegmentSm:
+      return LbPimSmCombine(phi_[index], batch.phi_q[query], dot1,
+                            num_segments_, segment_length_,
+                            quantizer_.alpha());
+    case EngineMode::kCosine: {
+      const double ub_dot = UbPimDotCombine(
+          dot1, sum_floor_[index], batch.sum_floor_q[query],
+          static_cast<int64_t>(dims_), quantizer_.alpha());
+      return UbPimCosine(ub_dot, norm_[index], batch.norm_q[query]);
+    }
+    case EngineMode::kPearson: {
+      const double ub_dot = UbPimDotCombine(
+          dot1, sum_floor_[index], batch.sum_floor_q[query],
+          static_cast<int64_t>(dims_), quantizer_.alpha());
+      return UbPimPearson(ub_dot, static_cast<int64_t>(dims_), phi_b_[index],
+                          batch.phi_b_q[query], norm_[index],
+                          batch.norm_q[query]);
+    }
+  }
+  PIMINE_CHECK(false) << "unreachable";
+  return 0.0;
 }
 
 Status PimEngine::ComputeBounds(std::span<const float> query,
@@ -747,13 +692,16 @@ Status PimEngine::ComputeBounds(std::span<const float> query,
     return Status::InvalidArgument(
         "ComputeBounds requires a non-null output vector");
   }
-  PIMINE_ASSIGN_OR_RETURN(QueryHandle handle, RunQuery(query));
+  QueryScratch scratch;
+  QueryHandleBatch batch;
+  PIMINE_RETURN_IF_ERROR(
+      RunQueryBatch(query, /*num_queries=*/1, &scratch, &batch));
   bounds->resize(num_objects_);
   double* out = bounds->data();
   ParallelChunks(policy, num_objects_, policy.block_size,
                  [&](size_t begin, size_t end, size_t /*slot*/) {
                    for (size_t i = begin; i < end; ++i) {
-                     out[i] = BoundFor(handle, i);
+                     out[i] = BoundFor(batch, 0, i);
                    }
                  });
   return Status::OK();

@@ -73,37 +73,21 @@ struct EngineOptions {
 ///
 /// For ED the produced values are *lower bounds on squared ED*; for CS/PCC
 /// they are *upper bounds on similarity*. Guarantees (tested as invariants):
-///   ED modes:  BoundFor(h, i) <= SquaredEuclidean(data[i], q)
-///   CS mode:   BoundFor(h, i) >= CosineSimilarity(data[i], q)
-///   PCC mode:  BoundFor(h, i) >= PearsonCorrelation(data[i], q)
+///   ED modes:  BoundFor(b, q, i) <= SquaredEuclidean(data[i], q)
+///   CS mode:   BoundFor(b, q, i) >= CosineSimilarity(data[i], q)
+///   PCC mode:  BoundFor(b, q, i) >= PearsonCorrelation(data[i], q)
 ///
 /// Input data and queries must already be normalized into [0, 1] per
 /// dimension (use MinMaxScaler); Build rejects out-of-range data.
 class PimEngine {
  public:
-  /// Result of one PIM batch for one query: dot products for every object
-  /// plus the query-side scalars, enabling lazy per-object combines (the
-  /// host loads only the PIM results it actually inspects).
-  struct QueryHandle {
-    std::vector<uint64_t> dots1;  // floors / segment-mean dots.
-    std::vector<uint64_t> dots2;  // segment-std dots (kSegmentFnn only).
-    double phi_q = 0.0;
-    double sum_floor_q = 0.0;  // CS/PCC.
-    double norm_q = 0.0;       // CS: |q|;  PCC: phi_a(q).
-    double phi_b_q = 0.0;      // PCC.
-    /// Per-result fault flags (VerifyMode::kBoundSlack only; empty when
-    /// every result verified clean). BoundFor returns the trivial
-    /// worst-case bound for flagged results, keeping pruning admissible.
-    std::vector<uint8_t> suspect1;
-    std::vector<uint8_t> suspect2;  // kSegmentFnn second device.
-  };
-
   /// Result of one *batched* PIM operation covering `num_queries` queries:
   /// one shared dot-product buffer (query q's results occupy
   /// dots1[q*stride, (q+1)*stride)) plus per-query scalar terms. Produced
-  /// by RunQueryBatch; consumed through BoundFor(batch, query, index).
-  /// Bound values are bit-identical to running each query through
-  /// RunQuery/BoundFor on its own.
+  /// by RunQueryBatch; consumed through BoundFor(batch, query, index). A
+  /// single query is a batch of one, and bound values are bit-identical to
+  /// running each query in its own batch. The dot products let the host
+  /// combine lazily: it loads only the PIM results it actually inspects.
   struct QueryHandleBatch {
     size_t num_queries = 0;
     size_t stride = 0;            // == num_objects().
@@ -120,7 +104,7 @@ class PimEngine {
     std::vector<uint8_t> suspect2;
   };
 
-  /// Reusable per-call working memory for RunQuery / RunQueryBatch.
+  /// Reusable per-call working memory for RunQueryBatch.
   /// Engines hold no mutable query state, so any number of host threads
   /// may run queries concurrently, each with its own scratch.
   struct QueryScratch {
@@ -137,36 +121,17 @@ class PimEngine {
                                                   Distance distance,
                                                   const EngineOptions& options);
 
-  /// Executes the PIM batch(es) for `query` (same dimensionality as the
-  /// data, values in [0, 1]). Thread-safe; allocates scratch internally.
-  Result<QueryHandle> RunQuery(std::span<const float> query) const;
-
-  /// As above with caller-provided scratch — hot loops keep one
-  /// QueryScratch per worker thread to avoid per-query allocation.
-  Result<QueryHandle> RunQuery(std::span<const float> query,
-                               QueryScratch* scratch) const;
-
   /// Executes ONE batched PIM operation for `num_queries` queries packed
-  /// row-major in `queries` (num_queries * dims() values, each row a valid
-  /// RunQuery input). The whole batch is quantized in one pass and matched
-  /// by a single PimDevice::DotProductBatch per device, so the device
-  /// charges one batch_op (and the pipelined batch latency) instead of
-  /// num_queries separate operations. Bounds derived from the returned
-  /// handle are bit-identical to per-query RunQuery, and all modeled stats
-  /// except batch_ops / queries_per_batch / pipelined_ns are too.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries,
-                                         QueryScratch* scratch) const;
-
-  /// As above, allocating scratch internally.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries) const;
-
-  /// Reusing variant: fills a caller-owned handle instead of returning a
-  /// fresh one, so hot dispatch loops (the serving scheduler) keep one
-  /// QueryHandleBatch per worker and successive batches reuse its buffers —
-  /// no per-dispatch allocation once the vectors reach steady-state
-  /// capacity. Results and stats are identical to the by-value overload.
+  /// row-major in `queries` (num_queries * dims() values, same
+  /// dimensionality as the data, values in [0, 1]) and fills the
+  /// caller-owned `batch`. The whole batch is quantized in one pass and
+  /// matched by a single PimDevice::DotProductBatch per device, so the
+  /// device charges one batch_op (and the pipelined batch latency) instead
+  /// of num_queries separate operations; every other modeled stat, and
+  /// every bound, is bit-identical to running the queries one per batch.
+  /// Thread-safe: hot loops keep one QueryScratch and one QueryHandleBatch
+  /// per worker, so successive batches reuse their buffers and allocate
+  /// nothing once the vectors reach steady-state capacity.
   Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
                        QueryScratch* scratch, QueryHandleBatch* batch) const;
 
@@ -246,18 +211,15 @@ class PimEngine {
   /// (sorts last once the search negates for maximize).
   double PruneBound() const;
 
-  /// Lazy combine for object `index`: O(1) host work, 3*b bits of transfer.
-  double BoundFor(const QueryHandle& handle, size_t index) const;
-
-  /// Batched-handle combine: the bound for `batch` query `query` against
-  /// object `index`. Bit-identical to BoundFor(RunQuery(that query), index).
+  /// Lazy combine: the bound for `batch` query `query` against object
+  /// `index`. O(1) host work, 3*b bits of transfer.
   double BoundFor(const QueryHandleBatch& batch, size_t query,
                   size_t index) const;
 
-  /// Convenience: RunQuery + BoundFor for every object. The combination
-  /// loop is spread across `policy.num_threads` workers in blocks of
-  /// `policy.block_size`; bounds and traffic totals are identical for any
-  /// policy (each bound is an independent O(1) combine).
+  /// Convenience: a one-query RunQueryBatch + BoundFor for every object.
+  /// The combination loop is spread across `policy.num_threads` workers in
+  /// blocks of `policy.block_size`; bounds and traffic totals are identical
+  /// for any policy (each bound is an independent O(1) combine).
   Status ComputeBounds(std::span<const float> query,
                        std::vector<double>* bounds,
                        const ExecPolicy& policy = ExecPolicy()) const;
@@ -274,7 +236,7 @@ class PimEngine {
   /// input to the Eq. 13 plan optimizer): 3 operands of b bits.
   double TransferBitsPerCandidate() const { return 3.0 * operand_bits_; }
 
-  /// Modeled PIM-side time accumulated by RunQuery calls (NVSim role).
+  /// Modeled PIM-side time accumulated by RunQueryBatch calls (NVSim role).
   /// Serial-equivalent: invariant under device batching.
   double PimComputeNs() const;
   /// Serial-equivalent modeled device time one query costs this engine
@@ -319,12 +281,6 @@ class PimEngine {
   /// ED family (a squared distance is never negative), 1 for CS/PCC (a
   /// cosine/correlation never exceeds 1).
   double TrivialBound() const;
-
-  /// Mode dispatch shared by both BoundFor overloads: combines one
-  /// object's offline terms with one query's dot products and scalars.
-  double CombineBound(size_t index, uint64_t dot1, uint64_t dot2,
-                      double phi_q, double sum_floor_q, double norm_q,
-                      double phi_b_q) const;
 
   EngineMode mode_;
   EngineOptions options_;

@@ -224,28 +224,6 @@ void ShardedPimEngine::InitReplicaState() {
   }
 }
 
-Result<ShardedPimEngine::QueryHandleBatch> ShardedPimEngine::RunQueryBatch(
-    std::span<const float> queries, size_t num_queries) const {
-  QueryScratch scratch;
-  return RunQueryBatch(queries, num_queries, &scratch);
-}
-
-Result<ShardedPimEngine::QueryHandleBatch> ShardedPimEngine::RunQueryBatch(
-    std::span<const float> queries, size_t num_queries,
-    QueryScratch* scratch) const {
-  QueryHandleBatch out;
-  PIMINE_RETURN_IF_ERROR(RunQueryBatch(queries, num_queries, scratch, &out));
-  return out;
-}
-
-Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
-                                       size_t num_queries,
-                                       QueryScratch* scratch,
-                                       QueryHandleBatch* result) const {
-  return RunQueryBatch(queries, num_queries, scratch, result,
-                       DispatchOptions());
-}
-
 Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
                                        size_t num_queries,
                                        QueryScratch* scratch,

@@ -22,6 +22,22 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
+/// Per-dispatch context of ShardedPimEngine's failover ladder
+/// (ShardedPimEngine::DispatchOptions). The default value is a plain
+/// dispatch: no chaos instant, host-exact shedding.
+struct FleetDispatchOptions {
+  /// Dispatch instant on the caller's clock (virtual ns in replay) the
+  /// chaos schedule is evaluated at. 0 falls back to set_chaos_now_ns.
+  uint64_t now_ns = 0;
+  /// Degraded mode: when every replica of a shard is exhausted, serve
+  /// the shard as a bound-slack fill (exact-after-refine) instead of a
+  /// host-exact recompute — shedding modeled device work, not accuracy.
+  bool slack_on_exhaustion = false;
+  /// Ladder budget: cumulative seeded backoff one dispatch may spend
+  /// walking a shard's replicas before the op sheds. 0 = unbounded.
+  uint64_t deadline_ns = 0;
+};
+
 /// A fleet of PIM devices acting as one logical engine (DESIGN.md section
 /// 9): the dataset is sharded across M per-shard PimEngines (ShardOptions
 /// placement), each query batch is prepared once on the host, scattered to
@@ -57,50 +73,25 @@ class ShardedPimEngine {
       const FloatMatrix& data, Distance distance,
       const EngineOptions& options);
 
+  using DispatchOptions = FleetDispatchOptions;
+
   /// One batched fleet operation: PrepareBatch once on the host (query-side
   /// scalars + quantized operands, charged exactly once), scatter the
   /// operands to every shard (one DeviceBatch per shard, fanned out under
-  /// set_fanout_policy), gather the results. A shard failing with
-  /// DeviceFault is escalated to a host-exact recompute of that shard when
-  /// ShardOptions::failover is set. Bounds derived from the handle are
+  /// set_fanout_policy), gather the results into the caller-owned `out`.
+  /// Per-shard sub-handles and all their buffers are reused across calls,
+  /// so a hot dispatch loop allocates nothing in steady state. A single
+  /// query is a batch of one. Bounds derived from the handle are
   /// bit-identical to the single-device engine's for every M.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries,
-                                         QueryScratch* scratch) const;
-
-  /// As above, allocating scratch internally.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries) const;
-
-  /// Reusing variant: fills a caller-owned handle (per-shard sub-handles
-  /// and all their buffers are reused across calls), the zero-allocation
-  /// steady-state path of the serving scheduler's dispatch loop. Results
-  /// and stats are identical to the by-value overload.
-  Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
-                       QueryScratch* scratch, QueryHandleBatch* out) const;
-
-  /// Per-dispatch context of the failover ladder. The default value is the
-  /// plain overloads' behaviour (no chaos instant, host-exact shedding).
-  struct DispatchOptions {
-    /// Dispatch instant on the caller's clock (virtual ns in replay) the
-    /// chaos schedule is evaluated at. 0 falls back to set_chaos_now_ns.
-    uint64_t now_ns = 0;
-    /// Degraded mode: when every replica of a shard is exhausted, serve
-    /// the shard as a bound-slack fill (exact-after-refine) instead of a
-    /// host-exact recompute — shedding modeled device work, not accuracy.
-    bool slack_on_exhaustion = false;
-    /// Ladder budget: cumulative seeded backoff one dispatch may spend
-    /// walking a shard's replicas before the op sheds. 0 = unbounded.
-    uint64_t deadline_ns = 0;
-  };
-
-  /// As the reusing overload, with explicit failover/chaos context. Every
+  ///
+  /// A shard failing with DeviceFault walks its replica ladder under
+  /// `dispatch` (the default: no chaos instant, host-exact shedding). Every
   /// transition of the ladder — failed attempt, strike, recovery on a
   /// later replica, shed — lands in FailoverStats (FleetStats().failover,
   /// invariant injected == recovered + shed).
   Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
                        QueryScratch* scratch, QueryHandleBatch* out,
-                       const DispatchOptions& dispatch) const;
+                       const DispatchOptions& dispatch = {}) const;
 
   /// What the chaos-availability ladder will do for shard `j` dispatched
   /// at `dispatch.now_ns`: the serving replica (or shed), the failed

@@ -228,8 +228,10 @@ Status PimAssignFilter::BeginIteration(const FloatMatrix& centers,
   group_size_ = device_batch;
   const size_t k = centers.rows();
   const size_t d = centers.cols();
-  batches_.clear();
-  batches_.reserve((k + group_size_ - 1) / group_size_);
+  // Handles are reused across iterations (k and the grouping rarely
+  // change), so steady-state iterations allocate nothing here.
+  batches_.resize((k + group_size_ - 1) / group_size_);
+  ShardedPimEngine::QueryScratch scratch;
   // Center rows are contiguous, so each group is one flat span.
   for (size_t c = 0; c < k; c += group_size_) {
     const size_t group = std::min(group_size_, k - c);
@@ -237,11 +239,9 @@ Status PimAssignFilter::BeginIteration(const FloatMatrix& centers,
     // centers are grouped, so the trace stays bit-identical across
     // device_batch sizes (same discipline as the kNN batched harness).
     obs::ScopedTrackBase track_base(static_cast<int64_t>(c));
-    PIMINE_ASSIGN_OR_RETURN(
-        ShardedPimEngine::QueryHandleBatch batch,
-        engine_->RunQueryBatch(
-            std::span<const float>(centers.data() + c * d, group * d), group));
-    batches_.push_back(std::move(batch));
+    PIMINE_RETURN_IF_ERROR(engine_->RunQueryBatch(
+        std::span<const float>(centers.data() + c * d, group * d), group,
+        &scratch, &batches_[c / group_size_]));
   }
   return Status::OK();
 }

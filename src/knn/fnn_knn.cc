@@ -96,30 +96,25 @@ Result<KnnRunResult> FnnKnn::Search(const FloatMatrix& queries, int k) {
         }
 
         // Refinement in coarse-bound order; finer levels prune survivors.
-        std::vector<uint32_t> order;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-          order = ArgsortAscending(s.first_bounds);
-        }
-        for (uint32_t idx : order) {
-          if (topk.full() && s.first_bounds[idx] >= topk.threshold()) break;
-          bool pruned = false;
-          for (size_t lv = 1; lv < num_levels && !pruned; ++lv) {
-            ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-            const SegmentStats& level = levels_[lv];
-            const double lb =
-                LbFnn(level.means.row(idx), level.stds.row(idx),
-                      s.q_means[lv], s.q_stds[lv], level.segment_length);
-            ++slot.bound_count;
-            pruned = topk.full() && lb >= topk.threshold();
-          }
-          if (pruned) continue;
-          ScopedFunctionTimer timer(&slot.profile, "ED");
-          const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                        topk.threshold());
-          topk.Push(d, static_cast<int32_t>(idx));
-          ++slot.exact_count;
-        }
+        slot.exact_count += RefineInOrder(
+            s.first_bounds, topk,
+            [&](uint32_t idx) {
+              for (size_t lv = 1; lv < num_levels; ++lv) {
+                ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+                const SegmentStats& level = levels_[lv];
+                const double lb =
+                    LbFnn(level.means.row(idx), level.stds.row(idx),
+                          s.q_means[lv], s.q_stds[lv], level.segment_length);
+                ++slot.bound_count;
+                if (topk.full() && lb >= topk.threshold()) {
+                  return RefineStep::kSkip;
+                }
+              }
+              PushExactScore(Distance::kEuclidean, *data_, idx, q, topk,
+                             &slot.profile);
+              return RefineStep::kExact;
+            },
+            &slot.profile, "LB_FNN");
         result.neighbors[qi] = topk.TakeSorted();
       });
   PIMINE_RETURN_IF_ERROR(status);

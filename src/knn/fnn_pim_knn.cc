@@ -6,9 +6,8 @@
 #include "common/logging.h"
 #include "core/bounds.h"
 #include "core/similarity.h"
-#include "obs/obs.h"
+#include "knn/pim_search.h"
 #include "util/random.h"
-#include "util/timer.h"
 
 namespace pimine {
 
@@ -148,6 +147,8 @@ Status FnnPimKnn::MeasureCandidates(const FloatMatrix& data) {
   std::vector<double> bound_values(n);
   std::vector<float> q_means;
   std::vector<float> q_stds;
+  ShardedPimEngine::QueryScratch query_scratch;
+  ShardedPimEngine::QueryHandleBatch handle;
 
   for (int s = 0; s < nq; ++s) {
     const auto q = data.row(rng.NextBounded(n));
@@ -165,12 +166,10 @@ Status FnnPimKnn::MeasureCandidates(const FloatMatrix& data) {
     // PIM candidate first (cascade order), then the original levels on the
     // survivors of everything before them.
     {
-      PIMINE_ASSIGN_OR_RETURN(ShardedPimEngine::QueryHandleBatch handle,
-                              engine_->RunQueryBatch(q, /*num_queries=*/1));
+      PIMINE_RETURN_IF_ERROR(engine_->RunQueryBatch(q, /*num_queries=*/1,
+                                                    &query_scratch, &handle));
       bound_values.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        bound_values[i] = engine_->BoundFor(handle, 0, i);
-      }
+      FillPimBounds(*engine_, handle, 0, /*negate=*/false, bound_values);
       ratios[0] += MeasurePruningRatio(bound_values, tau, false);
       std::vector<uint32_t> next;
       for (uint32_t i : survivors) {
@@ -211,161 +210,90 @@ uint64_t FnnPimKnn::OfflineBytesWritten() const {
 
 Result<KnnRunResult> FnnPimKnn::Search(const FloatMatrix& queries, int k) {
   if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  if (queries.cols() != data_->cols()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  // Tombstoned rows are unreachable (their bound sorts last), so k ranges
-  // over the LIVE corpus.
-  if (k <= 0 || static_cast<size_t>(k) > engine_->live_objects()) {
-    return Status::InvalidArgument("k out of range");
-  }
-
-  KnnRunResult result;
-  result.neighbors.resize(queries.rows());
-  engine_->ResetOnlineStats();
-  traffic::AggregateScope traffic_scope;
-  Timer wall;
-
-  const size_t n = data_->rows();
-  struct Scratch {
-    std::vector<double> bounds;
-    std::vector<std::vector<float>> q_means;
-    std::vector<std::vector<float>> q_stds;
-    ShardedPimEngine::QueryScratch query;
+  // Per-worker query segment statistics, one entry per retained level.
+  struct Segments {
+    std::vector<std::vector<float>> means;
+    std::vector<std::vector<float>> stds;
   };
-  std::vector<Scratch> scratch(NumBatchSlots(exec_policy_, queries.rows()));
-  for (Scratch& s : scratch) {
-    s.bounds.resize(n);
-    s.q_means.resize(levels_.size());
-    s.q_stds.resize(levels_.size());
+  struct Path {
+    // Sort-order filter: the PIM bound when the Eq. 13 plan selected it
+    // (else no device op is issued at all), else the first retained
+    // original level, else no filter at all.
+    void FillBounds(const PimQuery& pq, std::span<double> bounds) {
+      Segments& seg = segments[pq.slot_index];
+      if (uses_device) {
+        ScopedFunctionTimer timer(&pq.slot.profile, "LB_PIM");
+        FillPimBounds(*self.engine_, pq.batch, pq.batch_index,
+                      /*negate=*/false, bounds);
+        pq.slot.bound_count += bounds.size();
+      } else if (!self.selected_levels_.empty()) {
+        ScopedFunctionTimer timer(&pq.slot.profile, "LB_FNN");
+        const size_t lv = self.selected_levels_[0];
+        const SegmentStats& level = self.levels_[lv];
+        ComputeSegments(pq.row, level.num_segments, seg.means[lv],
+                        seg.stds[lv]);
+        for (size_t i = 0; i < bounds.size(); ++i) {
+          // Host-side level bounds know nothing about tombstones, so
+          // prune deleted rows here the way the PIM bound would.
+          bounds[i] = self.engine_->IsDeleted(i)
+                          ? std::numeric_limits<double>::infinity()
+                          : LbFnn(level.means.row(i), level.stds.row(i),
+                                  seg.means[lv], seg.stds[lv],
+                                  level.segment_length);
+        }
+        pq.slot.bound_count += bounds.size();
+      } else {
+        for (size_t i = 0; i < bounds.size(); ++i) {
+          bounds[i] = self.engine_->IsDeleted(i)
+                          ? std::numeric_limits<double>::infinity()
+                          : 0.0;
+        }
+      }
+      ScopedFunctionTimer timer(&pq.slot.profile, "LB_FNN");
+      for (size_t j = first_refine_level; j < self.selected_levels_.size();
+           ++j) {
+        const size_t lv = self.selected_levels_[j];
+        ComputeSegments(pq.row, self.levels_[lv].num_segments, seg.means[lv],
+                        seg.stds[lv]);
+      }
+    }
+    // The LB_FNN cascade of the remaining selected levels, then exact ED.
+    RefineStep Refine(const PimQuery& pq, uint32_t idx, TopK& topk) {
+      const Segments& seg = segments[pq.slot_index];
+      for (size_t j = first_refine_level; j < self.selected_levels_.size();
+           ++j) {
+        ScopedFunctionTimer timer(&pq.slot.profile, "LB_FNN");
+        const size_t lv = self.selected_levels_[j];
+        const SegmentStats& level = self.levels_[lv];
+        const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
+                                seg.means[lv], seg.stds[lv],
+                                level.segment_length);
+        ++pq.slot.bound_count;
+        if (topk.full() && lb >= topk.threshold()) return RefineStep::kSkip;
+      }
+      PushExactScore(Distance::kEuclidean, *self.data_, idx, pq.row, topk,
+                     &pq.slot.profile);
+      return RefineStep::kExact;
+    }
+    const FnnPimKnn& self;
+    std::vector<Segments> segments;
+    const bool uses_device;
+    const size_t first_refine_level;
+    const bool maximize = false;
+    const size_t doubles_per_object = 2;  // bound array + sort order.
+  } path{*this,
+         std::vector<Segments>(NumBatchSlots(exec_policy_, queries.rows())),
+         use_pim_filter_,
+         use_pim_filter_ || selected_levels_.empty() ? size_t{0} : size_t{1}};
+  for (Segments& seg : path.segments) {
+    seg.means.resize(levels_.size());
+    seg.stds.resize(levels_.size());
     for (size_t lv = 0; lv < levels_.size(); ++lv) {
-      s.q_means[lv].resize(static_cast<size_t>(levels_[lv].num_segments));
-      s.q_stds[lv].resize(static_cast<size_t>(levels_[lv].num_segments));
+      seg.means[lv].resize(static_cast<size_t>(levels_[lv].num_segments));
+      seg.stds[lv].resize(static_cast<size_t>(levels_[lv].num_segments));
     }
   }
-
-  // Serial-equivalent device time per query, hoisted so every QuerySpan
-  // charges the same value regardless of device-batch grouping. Zero when
-  // the plan dropped the PIM bound (no device op is issued).
-  const double device_ns_per_query =
-      obs::Obs::Enabled() && use_pim_filter_ ? engine_->SerialDeviceNsPerQuery()
-                                             : 0.0;
-
-  Status status = RunQueryBatchesWithPolicy(
-      exec_policy_, queries.rows(), &result.stats,
-      [&](size_t begin, size_t end, size_t slot_index, SearchSlot& slot) {
-        Scratch& s = scratch[slot_index];
-        const size_t batch_size = end - begin;
-
-        // When the Eq. 13 plan kept the PIM bound, run the whole device
-        // batch up front; the plan may also have dropped it, in which case
-        // no device op is issued at all.
-        ShardedPimEngine::QueryHandleBatch batch;
-        if (use_pim_filter_) {
-          ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-          auto r = engine_->RunQueryBatch(
-              std::span<const float>(queries.data() + begin * queries.cols(),
-                                     batch_size * queries.cols()),
-              batch_size, &s.query);
-          if (!r.ok()) {
-            slot.status = r.status();
-            return;
-          }
-          batch = std::move(r).value();
-        }
-
-        for (size_t qi = begin; qi < end; ++qi) {
-          obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
-                                    device_ns_per_query);
-          const auto q = queries.row(qi);
-          const size_t bq = qi - begin;
-          TopK topk(static_cast<size_t>(k));
-
-          // Sort-order filter: the PIM bound when selected, else the first
-          // retained original level, else no filter at all.
-          if (use_pim_filter_) {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            for (size_t i = 0; i < n; ++i) {
-              s.bounds[i] = engine_->BoundFor(batch, bq, i);
-            }
-            slot.bound_count += n;
-          } else if (!selected_levels_.empty()) {
-            ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-            const SegmentStats& level = levels_[selected_levels_[0]];
-            const size_t lv = selected_levels_[0];
-            ComputeSegments(q, level.num_segments, s.q_means[lv], s.q_stds[lv]);
-            for (size_t i = 0; i < n; ++i) {
-              // Host-side level bounds know nothing about tombstones, so
-              // prune deleted rows here the way the PIM bound would.
-              s.bounds[i] = engine_->IsDeleted(i)
-                                ? std::numeric_limits<double>::infinity()
-                                : LbFnn(level.means.row(i), level.stds.row(i),
-                                        s.q_means[lv], s.q_stds[lv],
-                                        level.segment_length);
-            }
-            slot.bound_count += n;
-          } else {
-            for (size_t i = 0; i < n; ++i) {
-              s.bounds[i] = engine_->IsDeleted(i)
-                                ? std::numeric_limits<double>::infinity()
-                                : 0.0;
-            }
-          }
-          const size_t first_refine_level =
-              use_pim_filter_ ? 0 : (selected_levels_.empty() ? 0 : 1);
-
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-            for (size_t j = first_refine_level; j < selected_levels_.size();
-                 ++j) {
-              const SegmentStats& level = levels_[selected_levels_[j]];
-              ComputeSegments(q, level.num_segments,
-                              s.q_means[selected_levels_[j]],
-                              s.q_stds[selected_levels_[j]]);
-            }
-          }
-
-          std::vector<uint32_t> order;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            order = ArgsortAscending(s.bounds);
-          }
-          for (uint32_t idx : order) {
-            if (topk.full() && s.bounds[idx] >= topk.threshold()) break;
-            bool pruned = false;
-            for (size_t j = first_refine_level;
-                 j < selected_levels_.size() && !pruned; ++j) {
-              ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-              const size_t lv = selected_levels_[j];
-              const SegmentStats& level = levels_[lv];
-              const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
-                                      s.q_means[lv], s.q_stds[lv],
-                                      level.segment_length);
-              ++slot.bound_count;
-              pruned = topk.full() && lb >= topk.threshold();
-            }
-            if (pruned) continue;
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                          topk.threshold());
-            topk.Push(d, static_cast<int32_t>(idx));
-            ++slot.exact_count;
-          }
-          result.neighbors[qi] = topk.TakeSorted();
-        }
-      });
-  PIMINE_RETURN_IF_ERROR(status);
-
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine_->PimComputeNs();
-  result.stats.fault = engine_->FaultStatsTotal();
-  result.stats.fleet = engine_->FleetStats();
-  result.stats.footprint_bytes =
-      n * sizeof(double) * 2 +
-      (result.stats.exact_count / std::max<uint64_t>(1, queries.rows())) *
-          data_->cols() * sizeof(float);
-  return result;
+  return RunPimSearch(*engine_, *data_, queries, k, exec_policy_, path);
 }
 
 }  // namespace pimine

@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "core/similarity.h"
 #include "data/matrix.h"
 #include "obs/histogram.h"
 #include "profiling/run_stats.h"
@@ -101,6 +102,65 @@ size_t NumBatchSlots(const ExecPolicy& policy, size_t num_queries);
 /// Indices [0, n) sorted so values[out[0]] <= values[out[1]] <= ... Charges
 /// the sort's traffic to the thread-local counters.
 std::vector<uint32_t> ArgsortAscending(std::span<const double> values);
+
+/// What a RefineInOrder hook did with one candidate.
+enum class RefineStep {
+  kSkip,   // dropped without an exact distance.
+  kExact,  // exact distance computed; keep walking.
+  kStop,   // exact distance computed; end the walk here.
+};
+
+/// The online stage of §V, and the one place candidate ordering lives:
+/// visits the candidates in ascending `bounds` order (ties by ascending
+/// index), stops at the first bound that cannot beat a full `topk`'s
+/// threshold, and hands every other candidate to `refine(idx)`, which
+/// computes the exact distance (usually pushing it into `topk`) and says
+/// how the walk goes on. The ordering is timed under `order_tag`. Returns
+/// the number of candidates that reached an exact distance (kExact and
+/// kStop steps).
+template <typename Refine>
+uint64_t RefineInOrder(std::span<const double> bounds, const TopK& topk,
+                       Refine&& refine, FunctionProfiler* profile = nullptr,
+                       std::string_view order_tag = {}) {
+  std::vector<uint32_t> order;
+  {
+    ScopedFunctionTimer timer(profile, order_tag);
+    order = ArgsortAscending(bounds);
+  }
+  uint64_t exact = 0;
+  for (const uint32_t idx : order) {
+    if (topk.full() && bounds[idx] >= topk.threshold()) break;
+    const RefineStep step = refine(idx);
+    if (step == RefineStep::kSkip) continue;
+    ++exact;
+    if (step == RefineStep::kStop) break;
+  }
+  return exact;
+}
+
+/// The exact refine step of every ED/CS/PCC filter-and-refine walk: pushes
+/// data row `idx`'s squared ED to `q` (early-abandoned at the heap
+/// threshold), or its negated CS/PCC similarity, into `topk`, timed under
+/// "ED"/"CS"/"PCC" (Hamming codes never come here). StandardPimKnn and
+/// serve::PimServer both refine through it, so served results equal
+/// offline ones by construction.
+inline void PushExactScore(Distance distance, const FloatMatrix& data,
+                           uint32_t idx, std::span<const float> q, TopK& topk,
+                           FunctionProfiler* profile = nullptr) {
+  const auto row = data.row(idx);
+  double score = 0.0;
+  if (distance == Distance::kEuclidean) {
+    ScopedFunctionTimer timer(profile, "ED");
+    score = SquaredEuclideanEarlyAbandon(row, q, topk.threshold());
+  } else if (distance == Distance::kCosine) {
+    ScopedFunctionTimer timer(profile, "CS");
+    score = -CosineSimilarity(row, q);
+  } else {
+    ScopedFunctionTimer timer(profile, "PCC");
+    score = -PearsonCorrelation(row, q);
+  }
+  topk.Push(score, static_cast<int32_t>(idx));
+}
 
 /// Extracts sorted neighbours from `topk` for a similarity measure run
 /// where -similarity was pushed as "distance": flips the sign back and

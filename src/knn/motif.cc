@@ -97,16 +97,18 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
 
   const size_t n = windows.rows();
   double best = HUGE_VAL;
+  PimEngine::QueryScratch query_scratch;
+  PimEngine::QueryHandleBatch handle;
   for (size_t i = 0; i + static_cast<size_t>(exclusion) + 1 < n; ++i) {
-    PimEngine::QueryHandle handle;
     {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_ASSIGN_OR_RETURN(handle, engine->RunQuery(windows.row(i)));
+      PIMINE_RETURN_IF_ERROR(engine->RunQueryBatch(
+          windows.row(i), /*num_queries=*/1, &query_scratch, &handle));
     }
     ScopedFunctionTimer timer(&result.stats.profile, "ED");
     for (size_t j = i + static_cast<size_t>(exclusion) + 1; j < n; ++j) {
       ++result.stats.bound_count;
-      if (engine->BoundFor(handle, j) >= best) continue;
+      if (engine->BoundFor(handle, 0, j) >= best) continue;
       const double d =
           SquaredEuclideanEarlyAbandon(windows.row(i), windows.row(j), best);
       ++result.stats.exact_count;

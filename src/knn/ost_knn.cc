@@ -59,19 +59,14 @@ Result<KnnRunResult> OstKnn::Search(const FloatMatrix& queries, int k) {
           }
           slot.bound_count += n;
         }
-        std::vector<uint32_t> order;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_OST");
-          order = ArgsortAscending(bounds);
-        }
-        for (uint32_t idx : order) {
-          if (topk.full() && bounds[idx] >= topk.threshold()) break;
-          ScopedFunctionTimer timer(&slot.profile, "ED");
-          const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                        topk.threshold());
-          topk.Push(d, static_cast<int32_t>(idx));
-          ++slot.exact_count;
-        }
+        slot.exact_count += RefineInOrder(
+            bounds, topk,
+            [&](uint32_t idx) {
+              PushExactScore(Distance::kEuclidean, *data_, idx, q, topk,
+                             &slot.profile);
+              return RefineStep::kExact;
+            },
+            &slot.profile, "LB_OST");
         result.neighbors[qi] = topk.TakeSorted();
       });
   PIMINE_RETURN_IF_ERROR(status);

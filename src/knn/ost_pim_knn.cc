@@ -4,9 +4,7 @@
 
 #include "common/logging.h"
 #include "core/bounds.h"
-#include "core/similarity.h"
-#include "obs/obs.h"
-#include "util/timer.h"
+#include "knn/pim_search.h"
 
 namespace pimine {
 
@@ -77,104 +75,32 @@ Status OstPimKnn::OnCompact(const std::vector<uint32_t>& live) {
 
 Result<KnnRunResult> OstPimKnn::Search(const FloatMatrix& queries, int k) {
   if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  if (queries.cols() != data_->cols()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  // Tombstoned rows are unreachable (their bound sorts last), so k ranges
-  // over the LIVE corpus.
-  if (k <= 0 || static_cast<size_t>(k) > engine_->live_objects()) {
-    return Status::InvalidArgument("k out of range");
-  }
-
-  KnnRunResult result;
-  result.neighbors.resize(queries.rows());
-  engine_->ResetOnlineStats();
-  traffic::AggregateScope traffic_scope;
-  Timer wall;
-
-  const size_t n = data_->rows();
-  struct Scratch {
-    std::vector<double> bounds;
-    std::vector<float> prefixes;  // gathered query prefixes (d0 values each).
-    ShardedPimEngine::QueryScratch query;
-  };
-  std::vector<Scratch> scratch(NumBatchSlots(exec_policy_, queries.rows()));
-  for (Scratch& s : scratch) s.bounds.resize(n);
-
-  // Serial-equivalent device time per query, hoisted so every QuerySpan
-  // charges the same value regardless of device-batch grouping.
-  const double device_ns_per_query =
-      obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
-
-  Status status = RunQueryBatchesWithPolicy(
-      exec_policy_, queries.rows(), &result.stats,
-      [&](size_t begin, size_t end, size_t slot_index, SearchSlot& slot) {
-        Scratch& s = scratch[slot_index];
-        const size_t batch_size = end - begin;
-        const size_t d0 = static_cast<size_t>(d0_);
-        ShardedPimEngine::QueryHandleBatch batch;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-          // The engine sees only prefixes, which are not contiguous across
-          // query rows — gather them into batch scratch first.
-          s.prefixes.resize(batch_size * d0);
-          for (size_t qi = begin; qi < end; ++qi) {
-            const auto q = queries.row(qi);
-            std::copy(q.begin(), q.begin() + d0,
-                      s.prefixes.begin() + (qi - begin) * d0);
-          }
-          auto r = engine_->RunQueryBatch(s.prefixes, batch_size, &s.query);
-          if (!r.ok()) {
-            slot.status = r.status();
-            return;
-          }
-          batch = std::move(r).value();
-        }
-        for (size_t qi = begin; qi < end; ++qi) {
-          obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
-                                    device_ns_per_query);
-          const auto q = queries.row(qi);
-          const size_t bq = qi - begin;
-          TopK topk(static_cast<size_t>(k));
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            const double q_suffix = SuffixNorm(q, d0_);
-            for (size_t i = 0; i < n; ++i) {
-              const double norm_diff = suffix_norms_[i] - q_suffix;
-              const double prefix_lb =
-                  std::max(0.0, engine_->BoundFor(batch, bq, i));
-              s.bounds[i] = prefix_lb + norm_diff * norm_diff;
-            }
-            slot.bound_count += n;
-          }
-          std::vector<uint32_t> order;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            order = ArgsortAscending(s.bounds);
-          }
-          for (uint32_t idx : order) {
-            if (topk.full() && s.bounds[idx] >= topk.threshold()) break;
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                          topk.threshold());
-            topk.Push(d, static_cast<int32_t>(idx));
-            ++slot.exact_count;
-          }
-          result.neighbors[qi] = topk.TakeSorted();
-        }
-      });
-  PIMINE_RETURN_IF_ERROR(status);
-
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine_->PimComputeNs();
-  result.stats.fault = engine_->FaultStatsTotal();
-  result.stats.fleet = engine_->FleetStats();
-  result.stats.footprint_bytes =
-      n * (sizeof(double) * 3) +
-      (result.stats.exact_count / std::max<uint64_t>(1, queries.rows())) *
-          data_->cols() * sizeof(float);
-  return result;
+  // The fleet holds the d0-dim prefixes (RunPimSearch sends it the query
+  // prefixes); the suffix-norm term completes the full-dimension bound.
+  struct Path {
+    void FillBounds(const PimQuery& pq, std::span<double> bounds) const {
+      ScopedFunctionTimer timer(&pq.slot.profile, "LB_PIM");
+      const double q_suffix = SuffixNorm(pq.row, self.d0_);
+      for (size_t i = 0; i < bounds.size(); ++i) {
+        const double norm_diff = self.suffix_norms_[i] - q_suffix;
+        const double prefix_lb = std::max(
+            0.0, self.engine_->BoundFor(pq.batch, pq.batch_index, i));
+        bounds[i] = prefix_lb + norm_diff * norm_diff;
+      }
+      pq.slot.bound_count += bounds.size();
+    }
+    RefineStep Refine(const PimQuery& pq, uint32_t idx, TopK& topk) const {
+      PushExactScore(Distance::kEuclidean, *self.data_, idx, pq.row, topk,
+                     &pq.slot.profile);
+      return RefineStep::kExact;
+    }
+    const OstPimKnn& self;
+    const bool uses_device = true;
+    const bool maximize = false;
+    // Bound array, sort order and suffix norms.
+    const size_t doubles_per_object = 3;
+  } path{*this};
+  return RunPimSearch(*engine_, *data_, queries, k, exec_policy_, path);
 }
 
 }  // namespace pimine

@@ -113,36 +113,29 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
     const double cutoff = outliers.cutoff();
     {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_ASSIGN_OR_RETURN(PimEngine::QueryHandle handle,
-                              engine->RunQuery(p));
-      for (size_t j = 0; j < n; ++j) {
-        bounds[j] = engine->BoundFor(handle, j);
-      }
+      PIMINE_RETURN_IF_ERROR(engine->ComputeBounds(p, &bounds));
       result.stats.bound_count += n;
     }
-    std::vector<uint32_t> order;
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      order = ArgsortAscending(bounds);
-    }
 
+    // Once every remaining bound is >= the current k-th NN distance the
+    // score is final (RefineInOrder's stop).
     TopK knn(static_cast<size_t>(options.k));
     bool pruned = false;
-    ScopedFunctionTimer timer(&result.stats.profile, "ED");
-    for (uint32_t idx : order) {
-      if (idx == i) continue;
-      // All remaining candidates have bounds >= the current k-th NN
-      // distance: the score is final.
-      if (knn.full() && bounds[idx] >= knn.threshold()) break;
-      const double d =
-          SquaredEuclideanEarlyAbandon(data.row(idx), p, knn.threshold());
-      ++result.stats.exact_count;
-      knn.Push(d, static_cast<int32_t>(idx));
-      if (knn.full() && knn.threshold() <= cutoff) {
-        pruned = true;
-        break;
-      }
-    }
+    result.stats.exact_count += RefineInOrder(
+        bounds, knn,
+        [&](uint32_t idx) {
+          if (idx == i) return RefineStep::kSkip;
+          PushExactScore(Distance::kEuclidean, data, idx, p, knn,
+                         &result.stats.profile);
+          // ORCA early abandonment: k neighbours within the cutoff kill
+          // the candidate (its score can only shrink further).
+          if (knn.full() && knn.threshold() <= cutoff) {
+            pruned = true;
+            return RefineStep::kStop;
+          }
+          return RefineStep::kExact;
+        },
+        &result.stats.profile, "LB_PIM");
     if (!pruned) {
       outliers.Offer(knn.threshold(), static_cast<int32_t>(i));
     }

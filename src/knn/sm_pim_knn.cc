@@ -1,10 +1,6 @@
 #include "knn/sm_pim_knn.h"
 
-#include <algorithm>
-
-#include "core/similarity.h"
-#include "obs/obs.h"
-#include "util/timer.h"
+#include "knn/pim_search.h"
 
 namespace pimine {
 
@@ -40,93 +36,8 @@ Status SmPimKnn::OnCompact(const std::vector<uint32_t>& /*live*/) {
 
 Result<KnnRunResult> SmPimKnn::Search(const FloatMatrix& queries, int k) {
   if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  if (queries.cols() != data_->cols()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  // Tombstoned rows are unreachable (their bound sorts last), so k ranges
-  // over the LIVE corpus.
-  if (k <= 0 || static_cast<size_t>(k) > engine_->live_objects()) {
-    return Status::InvalidArgument("k out of range");
-  }
-
-  KnnRunResult result;
-  result.neighbors.resize(queries.rows());
-  engine_->ResetOnlineStats();
-  traffic::AggregateScope traffic_scope;
-  Timer wall;
-
-  const size_t n = data_->rows();
-  struct Scratch {
-    std::vector<double> bounds;
-    ShardedPimEngine::QueryScratch query;
-  };
-  std::vector<Scratch> scratch(NumBatchSlots(exec_policy_, queries.rows()));
-  for (Scratch& s : scratch) s.bounds.resize(n);
-
-  // Serial-equivalent device time per query, hoisted so every QuerySpan
-  // charges the same value regardless of device-batch grouping.
-  const double device_ns_per_query =
-      obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
-
-  Status status = RunQueryBatchesWithPolicy(
-      exec_policy_, queries.rows(), &result.stats,
-      [&](size_t begin, size_t end, size_t slot_index, SearchSlot& slot) {
-        Scratch& s = scratch[slot_index];
-        const size_t batch_size = end - begin;
-        ShardedPimEngine::QueryHandleBatch batch;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-          auto r = engine_->RunQueryBatch(
-              std::span<const float>(queries.data() + begin * queries.cols(),
-                                     batch_size * queries.cols()),
-              batch_size, &s.query);
-          if (!r.ok()) {
-            slot.status = r.status();
-            return;
-          }
-          batch = std::move(r).value();
-        }
-        for (size_t qi = begin; qi < end; ++qi) {
-          obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
-                                    device_ns_per_query);
-          const auto q = queries.row(qi);
-          const size_t bq = qi - begin;
-          TopK topk(static_cast<size_t>(k));
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            for (size_t i = 0; i < n; ++i) {
-              s.bounds[i] = engine_->BoundFor(batch, bq, i);
-            }
-            slot.bound_count += n;
-          }
-          std::vector<uint32_t> order;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            order = ArgsortAscending(s.bounds);
-          }
-          for (uint32_t idx : order) {
-            if (topk.full() && s.bounds[idx] >= topk.threshold()) break;
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                          topk.threshold());
-            topk.Push(d, static_cast<int32_t>(idx));
-            ++slot.exact_count;
-          }
-          result.neighbors[qi] = topk.TakeSorted();
-        }
-      });
-  PIMINE_RETURN_IF_ERROR(status);
-
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine_->PimComputeNs();
-  result.stats.fault = engine_->FaultStatsTotal();
-  result.stats.fleet = engine_->FleetStats();
-  result.stats.footprint_bytes =
-      n * sizeof(double) * 2 +
-      (result.stats.exact_count / std::max<uint64_t>(1, queries.rows())) *
-          data_->cols() * sizeof(float);
-  return result;
+  FleetBoundPath path(*engine_, *data_, Distance::kEuclidean);
+  return RunPimSearch(*engine_, *data_, queries, k, exec_policy_, path);
 }
 
 }  // namespace pimine

@@ -2,6 +2,7 @@
 #define PIMINE_PROFILING_FUNCTION_PROFILER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -55,9 +56,11 @@ class FunctionProfiler {
 class ScopedFunctionTimer {
  public:
   ScopedFunctionTimer(FunctionProfiler* profiler, std::string_view tag)
-      : profiler_(profiler), tag_(tag) {}
+      : profiler_(profiler), tag_(tag) {
+    if (profiler_ != nullptr) timer_.emplace();
+  }
   ~ScopedFunctionTimer() {
-    if (profiler_ != nullptr) profiler_->Add(tag_, timer_.ElapsedNanos());
+    if (timer_) profiler_->Add(tag_, timer_->ElapsedNanos());
   }
 
   ScopedFunctionTimer(const ScopedFunctionTimer&) = delete;
@@ -66,7 +69,7 @@ class ScopedFunctionTimer {
  private:
   FunctionProfiler* profiler_;
   std::string_view tag_;
-  Timer timer_;
+  std::optional<Timer> timer_;  // started only when profiling.
 };
 
 }  // namespace pimine

@@ -10,7 +10,7 @@
 
 #include "common/logging.h"
 #include "core/similarity.h"
-#include "knn/knn_common.h"
+#include "knn/pim_search.h"
 #include "obs/obs.h"
 #include "sim/traffic.h"
 #include "util/parallel.h"
@@ -213,31 +213,15 @@ void PimServer::RunDispatch(std::span<const float> qbuf,
       obs::QuerySpan query_span(static_cast<int64_t>(member.id), &s->latency,
                                 device_ns_per_query);
       const std::span<const float> q(qbuf.data() + (c0 + bq) * dims, dims);
+      // StandardPimKnn's bound fill and exact refine step, so served
+      // results equal the offline path's by construction.
       TopK topk(static_cast<size_t>(k));
-      for (size_t i = 0; i < n; ++i) {
-        // Negate similarity upper bounds so ascending order = most
-        // promising first for both measure families (StandardPimKnn's
-        // convention — served results must match the offline path).
-        const double b = engine_->BoundFor(s->handle, bq, i);
-        s->bounds[i] = maximize_ ? -b : b;
-      }
+      FillPimBounds(*engine_, s->handle, bq, maximize_, s->bounds);
       s->bound_count += n;
-
-      const std::vector<uint32_t> order = ArgsortAscending(s->bounds);
-      for (uint32_t idx : order) {
-        if (topk.full() && s->bounds[idx] >= topk.threshold()) break;
-        if (distance_ == Distance::kEuclidean) {
-          const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                        topk.threshold());
-          topk.Push(d, static_cast<int32_t>(idx));
-        } else {
-          const double sim = distance_ == Distance::kCosine
-                                 ? CosineSimilarity(data_->row(idx), q)
-                                 : PearsonCorrelation(data_->row(idx), q);
-          topk.Push(-sim, static_cast<int32_t>(idx));
-        }
-        ++s->exact_count;
-      }
+      s->exact_count += RefineInOrder(s->bounds, topk, [&](uint32_t idx) {
+        PushExactScore(distance_, *data_, idx, q, topk);
+        return RefineStep::kExact;
+      });
       s->neighbors[c0 + bq] =
           maximize_ ? FinalizeSimilarityNeighbors(topk) : topk.TakeSorted();
     }

@@ -255,9 +255,9 @@ class PimServer : public MutationListener {
 
   /// Executes one formed dispatch: one engine RunQueryBatch per
   /// device_batch chunk, then the host filter-and-refine pipeline per
-  /// query — the exact per-query loop of StandardPimKnn::Search, so a
-  /// served query's neighbours, traffic and modeled stats are identical
-  /// to the offline path. Fills s->neighbors[0..members). `ids` labels
+  /// query — StandardPimKnn::Search's bound fill, RefineInOrder walk and
+  /// exact-score step, so a served query's neighbours, traffic and modeled
+  /// stats are identical to the offline path. Fills s->neighbors[0..members). `ids` labels
   /// the per-query trace spans.
   void RunDispatch(std::span<const float> qbuf,
                    const std::vector<PendingQuery>& members,

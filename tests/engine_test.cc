@@ -200,8 +200,9 @@ TEST(EngineFidelityTest, MatchesCycleLevelCrossbar) {
   ASSERT_EQ(engine.mode(), EngineMode::kDirectEd);
 
   const auto q = RandomUnitVector(d, 13);
-  auto handle_or = engine.RunQuery(q);
-  ASSERT_TRUE(handle_or.ok());
+  PimEngine::QueryScratch scratch;
+  PimEngine::QueryHandleBatch handle;
+  ASSERT_TRUE(engine.RunQueryBatch(q, 1, &scratch, &handle).ok());
 
   // Rebuild the same layout on explicit crossbars: one logical column per
   // object, the object's quantized vector along the rows.
@@ -219,7 +220,7 @@ TEST(EngineFidelityTest, MatchesCycleLevelCrossbar) {
   auto pipeline = xbar.DotProduct(input, 8, 8, 2);
   ASSERT_TRUE(pipeline.ok());
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(handle_or->dots1[i], pipeline->values[i]) << "object " << i;
+    EXPECT_EQ(handle.dots1[i], pipeline->values[i]) << "object " << i;
   }
 }
 

@@ -165,9 +165,9 @@ struct FailoverFixture {
     auto built = ShardedPimEngine::Build(data, Distance::kEuclidean, options);
     PIMINE_CHECK(built.ok()) << built.status().ToString();
     clean = std::move(built).value();
-    auto run = clean->RunQueryBatch(Span(), queries.rows());
-    PIMINE_CHECK(run.ok()) << run.status().ToString();
-    reference = *std::move(run);
+    ShardedPimEngine::QueryScratch scratch;
+    PIMINE_CHECK_OK(
+        clean->RunQueryBatch(Span(), queries.rows(), &scratch, &reference));
   }
 
   std::span<const float> Span() const {
@@ -448,9 +448,11 @@ TEST(FailoverLadderTest, ReplicasAreBitTransparentWithoutFaults) {
   ASSERT_TRUE(built.ok());
   const auto fleet = std::move(built).value();
 
-  auto run = fleet->RunQueryBatch(f.Span(), f.queries.rows());
-  ASSERT_TRUE(run.ok());
-  f.ExpectBoundsIdentical(*fleet, *run, "replicas=3 no chaos");
+  ShardedPimEngine::QueryScratch scratch;
+  ShardedPimEngine::QueryHandleBatch run;
+  ASSERT_TRUE(
+      fleet->RunQueryBatch(f.Span(), f.queries.rows(), &scratch, &run).ok());
+  f.ExpectBoundsIdentical(*fleet, run, "replicas=3 no chaos");
   EXPECT_FALSE(fleet->FleetStats().failover.Any());
   EXPECT_EQ(fleet->PimComputeNs(), f.clean->PimComputeNs());
   // Offline: every copy is programmed (bytes sum over copies), the copies

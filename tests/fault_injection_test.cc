@@ -296,9 +296,12 @@ TEST(FaultInjectionTest, FailOpPolicyPropagatesDeviceFaultStatus) {
   options.recovery = recovery;
   auto engine = PimEngine::Build(fdata, Distance::kEuclidean, options);
   ASSERT_TRUE(engine.ok());
-  auto handle = (*engine)->RunQuery(testing_util::RandomUnitVector(32, 16));
-  ASSERT_FALSE(handle.ok());
-  EXPECT_EQ(handle.status().code(), StatusCode::kDeviceFault);
+  PimEngine::QueryScratch scratch;
+  PimEngine::QueryHandleBatch handle;
+  const Status run = (*engine)->RunQueryBatch(
+      testing_util::RandomUnitVector(32, 16), 1, &scratch, &handle);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.code(), StatusCode::kDeviceFault);
 }
 
 TEST(FaultInjectionTest, BoundSlackRequiresSuspectBuffer) {

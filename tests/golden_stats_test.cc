@@ -1,9 +1,9 @@
-// Golden-stats regression harness: runs every kNN Search() path and every
-// k-means algorithm on a fixed seeded workload and compares the
-// deterministic RunStats surface (exact/bound counts, all traffic
-// counters, modeled PIM ns) against snapshots in tests/golden/. Any change
-// to pruning behaviour, traffic accounting, or the device timing model
-// shows up as a byte diff here.
+// Golden-stats regression harness: runs every kNN Search() path, every
+// k-means algorithm and the PIM outlier/motif miners on a fixed seeded
+// workload and compares the deterministic RunStats surface (exact/bound
+// counts, all traffic counters, modeled PIM ns) against snapshots in
+// tests/golden/. Any change to pruning behaviour, traffic accounting, or
+// the device timing model shows up as a byte diff here.
 //
 // Regenerating after an intentional model change:
 //   PIMINE_REGEN_GOLDEN=1 ./golden_stats_test
@@ -31,13 +31,16 @@
 #include "knn/fnn_knn.h"
 #include "knn/fnn_pim_knn.h"
 #include "knn/knn_common.h"
+#include "knn/motif.h"
 #include "knn/ost_knn.h"
 #include "knn/ost_pim_knn.h"
+#include "knn/outlier.h"
 #include "knn/sm_knn.h"
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
 #include "profiling/run_stats.h"
+#include "util/random.h"
 
 #ifndef PIMINE_GOLDEN_DIR
 #error "PIMINE_GOLDEN_DIR must be defined by the build"
@@ -84,8 +87,10 @@ std::string Render(const RunStats& stats) {
   return out.str();
 }
 
-void CheckAgainstGolden(const std::string& label, const RunStats& stats) {
-  const std::string rendered = Render(stats);
+/// `extra` carries result lines (ids) appended after the stats surface.
+void CheckAgainstGolden(const std::string& label, const RunStats& stats,
+                        const std::string& extra = "") {
+  const std::string rendered = Render(stats) + extra;
   const std::string path =
       std::string(PIMINE_GOLDEN_DIR) + "/" + label + ".txt";
 
@@ -182,6 +187,47 @@ TEST(GoldenStatsTest, KmeansAlgorithms) {
     ASSERT_TRUE(result.ok()) << c.label;
     CheckAgainstGolden(c.label, result->stats);
   }
+}
+
+// The PIM outlier and motif miners run their own filter-and-refine walks
+// over a single-device engine; pin their counters and the ids they report.
+TEST(GoldenStatsTest, PimOutlierDetector) {
+  const Workload w = MakeWorkload();
+  OutlierOptions options;
+  options.k = 5;
+  options.num_outliers = 6;
+  // A coarse quantizer loosens the bounds, so the walks run past k.
+  EngineOptions engine_options;
+  engine_options.alpha = 20;
+  OrcaPimOutlierDetector detector(engine_options);
+  auto result = detector.Detect(w.data, options);
+  ASSERT_TRUE(result.ok());
+  std::ostringstream ids;
+  ids << "outlier_ids=";
+  for (const Neighbor& nb : result->outliers) ids << nb.id << ",";
+  ids << "\n";
+  CheckAgainstGolden("outlier_orca_pim", result->stats, ids.str());
+}
+
+TEST(GoldenStatsTest, PimMotifDiscovery) {
+  // Random-walk series: 389 windows of width 32.
+  Rng rng(44);
+  std::vector<float> series(420);
+  double level = 0.0;
+  for (float& v : series) {
+    level += rng.NextGaussian(0.0, 1.0);
+    v = static_cast<float>(level);
+  }
+  auto windows = ExtractWindows(series, 32);
+  ASSERT_TRUE(windows.ok());
+  MotifOptions options;
+  options.window = 32;
+  PimMotifDiscovery motif((EngineOptions()));
+  auto result = motif.Find(*windows, options);
+  ASSERT_TRUE(result.ok());
+  std::ostringstream ids;
+  ids << "motif_ids=" << result->first << "," << result->second << "\n";
+  CheckAgainstGolden("motif_pim", result->stats, ids.str());
 }
 
 // Sharded fleets must reproduce the SAME golden files as the single-device

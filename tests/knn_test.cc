@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +19,7 @@
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
 #include "test_helpers.h"
+#include "util/random.h"
 
 namespace pimine {
 namespace {
@@ -193,6 +198,149 @@ TEST(KnnPlanTest, OptimizedPlanPrefersPimBound) {
   EXPECT_EQ(optimized.plan().selected[0], 0u);
   EXPECT_TRUE(optimized.candidates()[0].is_pim);
   EXPECT_GT(optimized.candidates()[0].pruning_ratio, 0.5);
+}
+
+// --- RefineInOrder contract --------------------------------------------
+
+/// One refine walk: candidate `idx` has exact distance distances[idx];
+/// `skip(idx)` drops it before its exact distance (FNN's cascade,
+/// outlier's self match) and `stop(topk)` ends the walk right after an
+/// exact distance (outlier's cutoff).
+struct WalkCase {
+  std::vector<double> bounds;
+  std::vector<double> distances;
+  size_t k = 1;
+  std::function<bool(uint32_t)> skip = [](uint32_t) { return false; };
+  std::function<bool(const TopK&)> stop = [](const TopK&) { return false; };
+};
+
+struct Walk {
+  std::vector<uint32_t> refined;  // candidates that reached exact distance.
+  uint64_t exact_count = 0;
+  std::vector<Neighbor> result;
+};
+
+/// The filter-and-refine loop as every caller wrote it before
+/// RefineInOrder, kept verbatim as the reference (its ArgsortAscending
+/// call spelled out as the same (value, index) sort).
+Walk ReferenceWalk(const WalkCase& c) {
+  Walk walk;
+  TopK topk(c.k);
+  std::vector<uint32_t> order(c.bounds.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (c.bounds[a] != c.bounds[b]) return c.bounds[a] < c.bounds[b];
+    return a < b;
+  });
+  for (uint32_t idx : order) {
+    if (topk.full() && c.bounds[idx] >= topk.threshold()) break;
+    if (c.skip(idx)) continue;
+    walk.refined.push_back(idx);
+    topk.Push(c.distances[idx], static_cast<int32_t>(idx));
+    ++walk.exact_count;
+    if (c.stop(topk)) break;
+  }
+  walk.result = topk.TakeSorted();
+  return walk;
+}
+
+Walk PrimitiveWalk(const WalkCase& c) {
+  Walk walk;
+  TopK topk(c.k);
+  walk.exact_count = RefineInOrder(c.bounds, topk, [&](uint32_t idx) {
+    if (c.skip(idx)) return RefineStep::kSkip;
+    walk.refined.push_back(idx);
+    topk.Push(c.distances[idx], static_cast<int32_t>(idx));
+    return c.stop(topk) ? RefineStep::kStop : RefineStep::kExact;
+  });
+  walk.result = topk.TakeSorted();
+  return walk;
+}
+
+void ExpectSameWalk(const WalkCase& c) {
+  const Walk want = ReferenceWalk(c);
+  const Walk got = PrimitiveWalk(c);
+  EXPECT_EQ(got.refined, want.refined);
+  EXPECT_EQ(got.exact_count, want.exact_count);
+  EXPECT_EQ(got.result, want.result);
+}
+
+TEST(RefineInOrderTest, VisitsTiedBoundsByAscendingIndex) {
+  WalkCase c;
+  c.bounds = {0.5, 0.1, 0.5, 0.1, 0.3, 0.5};
+  c.distances = {0.9, 0.8, 0.7, 0.6, 0.5, 0.4};
+  c.k = c.bounds.size();  // the heap never fills: every candidate refines.
+  EXPECT_EQ(PrimitiveWalk(c).refined,
+            (std::vector<uint32_t>{1, 3, 4, 0, 2, 5}));
+  ExpectSameWalk(c);
+}
+
+TEST(RefineInOrderTest, StopsAtFirstBoundReachingFullHeapThreshold) {
+  WalkCase c;
+  c.bounds = {0.0, 1.0, 2.0, 3.0, 4.0};
+  c.distances = {1.0, 2.0, 2.5, 3.5, 4.5};
+  c.k = 2;
+  // After 0 and 1 the heap is full at threshold 2.0; bound 2.0 is not
+  // below it, so the walk ends there.
+  const Walk walk = PrimitiveWalk(c);
+  EXPECT_EQ(walk.refined, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(walk.exact_count, 2u);
+  ExpectSameWalk(c);
+
+  // A heap that is not yet full never stops the walk.
+  c.k = 5;
+  EXPECT_EQ(PrimitiveWalk(c).exact_count, 5u);
+  ExpectSameWalk(c);
+}
+
+TEST(RefineInOrderTest, SkippedCandidatesAreNotCounted) {
+  WalkCase c;
+  c.bounds = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
+  c.distances = {0.2, 0.3, 0.4, 0.5, 0.6, 0.7};
+  c.k = 6;
+  c.skip = [](uint32_t idx) { return idx % 2 == 0; };
+  const Walk walk = PrimitiveWalk(c);
+  EXPECT_EQ(walk.refined, (std::vector<uint32_t>{1, 3, 5}));
+  EXPECT_EQ(walk.exact_count, 3u);
+  ExpectSameWalk(c);
+}
+
+TEST(RefineInOrderTest, HookCanEndTheWalkEarly) {
+  WalkCase c;
+  c.bounds = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
+  c.distances = {0.2, 0.3, 0.4, 0.5, 0.6, 0.7};
+  c.k = 6;
+  c.stop = [](const TopK& topk) { return topk.size() == 3; };
+  const Walk walk = PrimitiveWalk(c);
+  EXPECT_EQ(walk.refined, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(walk.exact_count, 3u);  // the stopping candidate counts.
+  ExpectSameWalk(c);
+}
+
+TEST(RefineInOrderTest, MatchesReferenceLoopOnRandomWalks) {
+  Rng rng(2021);
+  for (int trial = 0; trial < 300; ++trial) {
+    WalkCase c;
+    const size_t n = 1 + rng.NextBounded(60);
+    c.k = 1 + rng.NextBounded(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Coarse bounds force ties; distances never undercut their bound.
+      const double bound = static_cast<double>(rng.NextBounded(8)) / 8.0;
+      c.bounds.push_back(bound);
+      c.distances.push_back(bound + rng.NextDouble());
+    }
+    const uint32_t self = static_cast<uint32_t>(rng.NextBounded(n));
+    const uint64_t skip_mod = 2 + rng.NextBounded(4);
+    c.skip = [self, skip_mod](uint32_t idx) {
+      return idx == self || idx % skip_mod == 0;
+    };
+    const double cutoff = rng.NextDouble();
+    c.stop = [cutoff](const TopK& topk) {
+      return topk.full() && topk.threshold() <= cutoff;
+    };
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameWalk(c);
+  }
 }
 
 TEST(HammingKnnTest, PimMatchesScan) {

@@ -211,18 +211,25 @@ TEST(PimBatchTest, EngineBatchBoundsMatchPerQueryForEveryMode) {
     ASSERT_TRUE(engine.ok());
     const auto mode = (*engine)->mode();
 
-    auto batch = (*engine)->RunQueryBatch(
-        std::span<const float>(queries.data(), num_queries * d), num_queries);
-    ASSERT_TRUE(batch.ok()) << EngineModeName(mode);
-    EXPECT_EQ(batch->num_queries, num_queries);
-    EXPECT_EQ(batch->stride, n);
+    PimEngine::QueryScratch scratch;
+    PimEngine::QueryHandleBatch batch;
+    ASSERT_TRUE((*engine)
+                    ->RunQueryBatch(std::span<const float>(
+                                        queries.data(), num_queries * d),
+                                    num_queries, &scratch, &batch)
+                    .ok())
+        << EngineModeName(mode);
+    EXPECT_EQ(batch.num_queries, num_queries);
+    EXPECT_EQ(batch.stride, n);
 
     for (size_t q = 0; q < num_queries; ++q) {
-      auto handle = (*engine)->RunQuery(queries.row(q));
-      ASSERT_TRUE(handle.ok()) << EngineModeName(mode);
+      PimEngine::QueryHandleBatch single;
+      ASSERT_TRUE(
+          (*engine)->RunQueryBatch(queries.row(q), 1, &scratch, &single).ok())
+          << EngineModeName(mode);
       for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ((*engine)->BoundFor(*batch, q, i),
-                  (*engine)->BoundFor(*handle, i))
+        EXPECT_EQ((*engine)->BoundFor(batch, q, i),
+                  (*engine)->BoundFor(single, 0, i))
             << EngineModeName(mode) << " q=" << q << " object=" << i;
       }
     }
@@ -252,12 +259,13 @@ TEST(PimBatchTest, EngineRejectsEmptyBatchAndNullOutputs) {
   const FloatMatrix data = testing_util::RandomUnitMatrix(16, 8, 71);
   auto engine = PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(engine.ok());
-  const auto batch = (*engine)->RunQueryBatch({}, 0);
+  PimEngine::QueryScratch scratch;
+  PimEngine::QueryHandleBatch handle;
+  const Status batch = (*engine)->RunQueryBatch({}, 0, &scratch, &handle);
   ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(batch.status().message().find("num_queries >= 1"),
-            std::string::npos)
-      << batch.status().ToString();
+  EXPECT_EQ(batch.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(batch.message().find("num_queries >= 1"), std::string::npos)
+      << batch.ToString();
 }
 
 TEST(PimBatchTest, ZeroDeviceBatchPolicyIsRejectedNotMisread) {

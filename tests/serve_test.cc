@@ -72,9 +72,10 @@ ArrivalTrace TestTrace(size_t requests, uint32_t tenants, double qps) {
 }
 
 ReplayOutput MustReplay(const ServeOptions& serve_options,
-                        const ArrivalTrace& trace, int shards = 1) {
-  auto server = PimServer::Build(Data(), Distance::kEuclidean,
-                                 SmallEngine(shards), serve_options);
+                        const ArrivalTrace& trace, int shards = 1,
+                        Distance distance = Distance::kEuclidean) {
+  auto server =
+      PimServer::Build(Data(), distance, SmallEngine(shards), serve_options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   auto output = (*server)->Replay(trace, Queries());
   EXPECT_TRUE(output.ok()) << output.status().ToString();
@@ -266,41 +267,48 @@ TEST(ServeReplayTest, AllAtZeroTraceMatchesOfflineBatchRun) {
   // Every query arrives at t=0 from one tenant: FIFO forms batches of
   // exactly max_batch in row order — the same partition the offline
   // RunQueryBatchesWithPolicy harness uses for device_batch = max_batch.
+  // Checked for every measure: CS/PCC carry the negate/finalize branch.
   constexpr size_t kBatch = 8;
   ServeOptions options = BaseServe();
   options.max_batch = kBatch;
   options.exec.device_batch = kBatch;
   options.max_wait_ns = 0;
   const ArrivalTrace trace = AllAtZeroTrace(kQueries, 1, kQueries);
-  const ReplayOutput served = MustReplay(options, trace);
+  for (const Distance distance :
+       {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
+    SCOPED_TRACE(DistanceName(distance));
+    const ReplayOutput served = MustReplay(options, trace, 1, distance);
 
-  StandardPimKnn offline(Distance::kEuclidean, SmallEngine());
-  ExecPolicy offline_policy;
-  offline_policy.device_batch = kBatch;
-  offline.set_exec_policy(offline_policy);
-  ASSERT_TRUE(offline.Prepare(Data()).ok());
-  auto offline_result = offline.Search(Queries(), kK);
-  ASSERT_TRUE(offline_result.ok()) << offline_result.status().ToString();
+    StandardPimKnn offline(distance, SmallEngine());
+    ExecPolicy offline_policy;
+    offline_policy.device_batch = kBatch;
+    offline.set_exec_policy(offline_policy);
+    ASSERT_TRUE(offline.Prepare(Data()).ok());
+    auto offline_result = offline.Search(Queries(), kK);
+    ASSERT_TRUE(offline_result.ok()) << offline_result.status().ToString();
 
-  ASSERT_EQ(served.results.size(), kQueries);
-  for (size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(served.results[i].neighbors, offline_result->neighbors[i])
-        << "query " << i;
+    ASSERT_EQ(served.results.size(), kQueries);
+    for (size_t i = 0; i < kQueries; ++i) {
+      EXPECT_EQ(served.results[i].neighbors, offline_result->neighbors[i])
+          << "query " << i;
+    }
+    EXPECT_TRUE(served.stats.exec.traffic == offline_result->stats.traffic)
+        << served.stats.exec.traffic.ToString() << " vs "
+        << offline_result->stats.traffic.ToString();
+    EXPECT_EQ(served.stats.exec.pim_ns, offline_result->stats.pim_ns);
+    EXPECT_EQ(served.stats.exec.exact_count,
+              offline_result->stats.exact_count);
+    EXPECT_EQ(served.stats.exec.bound_count,
+              offline_result->stats.bound_count);
   }
-  EXPECT_TRUE(served.stats.exec.traffic == offline_result->stats.traffic)
-      << served.stats.exec.traffic.ToString() << " vs "
-      << offline_result->stats.traffic.ToString();
-  EXPECT_EQ(served.stats.exec.pim_ns, offline_result->stats.pim_ns);
-  EXPECT_EQ(served.stats.exec.exact_count, offline_result->stats.exact_count);
-  EXPECT_EQ(served.stats.exec.bound_count, offline_result->stats.bound_count);
 }
 
-// --- Greedy dispatch / Q=1 fast path ---------------------------------------
+// --- Greedy dispatch / Q=1 batches -----------------------------------------
 
-TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingDirectRunQuery) {
+TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingOneQueryBatches) {
   // max_wait = 0 with widely-spaced arrivals: the scheduler must never
   // hold a query while the device is free, so every dispatch is Q = 1 and
-  // its modeled stats must equal the direct per-query RunQuery path.
+  // its modeled stats must equal direct one-query engine batches.
   ServeOptions options = BaseServe();
   options.max_wait_ns = 0;
   ArrivalTrace trace;
@@ -320,12 +328,16 @@ TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingDirectRunQuery) {
   // model (stage_ns * stages each), so the totals must match exactly.
   EXPECT_DOUBLE_EQ(served.stats.pipelined_ns, served.stats.exec.pim_ns);
 
-  // Direct single-query path over the same engine geometry.
+  // Direct one-query batches over the same engine geometry.
   auto engine = PimEngine::Build(Data(), Distance::kEuclidean, SmallEngine());
   ASSERT_TRUE(engine.ok());
+  PimEngine::QueryScratch scratch;
+  PimEngine::QueryHandleBatch handle;
   for (uint32_t i = 0; i < 24; ++i) {
-    auto handle = (*engine)->RunQuery(Queries().row(i % kQueries));
-    ASSERT_TRUE(handle.ok());
+    ASSERT_TRUE((*engine)
+                    ->RunQueryBatch(Queries().row(i % kQueries), 1, &scratch,
+                                    &handle)
+                    .ok());
   }
   EXPECT_EQ(served.stats.exec.pim_ns, (*engine)->PimComputeNs());
   EXPECT_EQ(served.stats.pipelined_ns, (*engine)->PimPipelinedNs());

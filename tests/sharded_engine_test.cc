@@ -53,6 +53,15 @@ FloatMatrix ClusteredData(size_t n, size_t d, uint64_t seed) {
   return DatasetGenerator::Generate(spec, static_cast<int64_t>(n), seed);
 }
 
+/// One fleet batch over every row of `queries`, into `out`.
+Status RunAll(const ShardedPimEngine& engine, const FloatMatrix& queries,
+              ShardedPimEngine::QueryHandleBatch* out) {
+  ShardedPimEngine::QueryScratch scratch;
+  return engine.RunQueryBatch(
+      std::span<const float>(queries.data(), queries.rows() * queries.cols()),
+      queries.rows(), &scratch, out);
+}
+
 // Every (placement, M) fleet must produce bit-identical bounds and modeled
 // PIM time to the single-device engine, in all five engine modes. n = 103
 // is prime, so every M > 1 exercises unequal shard sizes and shard-boundary
@@ -71,10 +80,8 @@ TEST(ShardedEngineTest, BoundsBitIdenticalToSingleDeviceAllModes) {
     ASSERT_TRUE(single_built.ok()) << mode.label;
     const auto single = std::move(single_built).value();
 
-    auto reference = single->RunQueryBatch(
-        std::span<const float>(queries.data(), queries.rows() * d),
-        queries.rows());
-    ASSERT_TRUE(reference.ok()) << mode.label;
+    ShardedPimEngine::QueryHandleBatch reference;
+    ASSERT_TRUE(RunAll(*single, queries, &reference).ok()) << mode.label;
 
     for (ShardPlacement placement :
          {ShardPlacement::kContiguous, ShardPlacement::kHash,
@@ -96,14 +103,12 @@ TEST(ShardedEngineTest, BoundsBitIdenticalToSingleDeviceAllModes) {
         EXPECT_EQ(fleet->num_segments(), single->num_segments()) << label;
         EXPECT_EQ(fleet->mode(), single->mode()) << label;
 
-        auto run = fleet->RunQueryBatch(
-            std::span<const float>(queries.data(), queries.rows() * d),
-            queries.rows());
-        ASSERT_TRUE(run.ok()) << label;
+        ShardedPimEngine::QueryHandleBatch run;
+        ASSERT_TRUE(RunAll(*fleet, queries, &run).ok()) << label;
         for (size_t q = 0; q < queries.rows(); ++q) {
           for (size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(fleet->BoundFor(*run, q, i),
-                      single->BoundFor(*reference, q, i))
+            ASSERT_EQ(fleet->BoundFor(run, q, i),
+                      single->BoundFor(reference, q, i))
                 << label << " q=" << q << " i=" << i;
           }
         }
@@ -276,10 +281,8 @@ TEST(ShardedEngineTest, FailedShardEscalatesToHostRecompute) {
       ShardedPimEngine::Build(data, Distance::kEuclidean, clean_options);
   ASSERT_TRUE(clean_built.ok());
   const auto clean = std::move(clean_built).value();
-  auto clean_run = clean->RunQueryBatch(
-      std::span<const float>(queries.data(), queries.rows() * d),
-      queries.rows());
-  ASSERT_TRUE(clean_run.ok());
+  ShardedPimEngine::QueryHandleBatch clean_run;
+  ASSERT_TRUE(RunAll(*clean, queries, &clean_run).ok());
 
   EngineOptions faulty_options = clean_options;
   faulty_options.fault_config.transient_rate = 0.2;  // every op faults.
@@ -290,14 +293,13 @@ TEST(ShardedEngineTest, FailedShardEscalatesToHostRecompute) {
   ASSERT_TRUE(faulty_built.ok());
   const auto faulty = std::move(faulty_built).value();
 
-  auto run = faulty->RunQueryBatch(
-      std::span<const float>(queries.data(), queries.rows() * d),
-      queries.rows());
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ShardedPimEngine::QueryHandleBatch run;
+  const Status faulty_status = RunAll(*faulty, queries, &run);
+  ASSERT_TRUE(faulty_status.ok()) << faulty_status.ToString();
   for (size_t q = 0; q < queries.rows(); ++q) {
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(faulty->BoundFor(*run, q, i),
-                clean->BoundFor(*clean_run, q, i))
+      ASSERT_EQ(faulty->BoundFor(run, q, i),
+                clean->BoundFor(clean_run, q, i))
           << "q=" << q << " i=" << i;
     }
   }
@@ -312,11 +314,10 @@ TEST(ShardedEngineTest, FailedShardEscalatesToHostRecompute) {
       ShardedPimEngine::Build(data, Distance::kEuclidean, no_failover);
   ASSERT_TRUE(strict_built.ok());
   const auto strict = std::move(strict_built).value();
-  auto strict_run = strict->RunQueryBatch(
-      std::span<const float>(queries.data(), queries.rows() * d),
-      queries.rows());
-  ASSERT_FALSE(strict_run.ok());
-  EXPECT_EQ(strict_run.status().code(), StatusCode::kDeviceFault);
+  ShardedPimEngine::QueryHandleBatch strict_run;
+  const Status strict_status = RunAll(*strict, queries, &strict_run);
+  ASSERT_FALSE(strict_status.ok());
+  EXPECT_EQ(strict_status.code(), StatusCode::kDeviceFault);
 }
 
 // ChargeTreeReduction charges the critical path: ceil(log2 M) messages of
