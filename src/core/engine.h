@@ -64,6 +64,39 @@ struct EngineOptions {
   ShardOptions shard;
 };
 
+/// The geometry a Build resolves from the dataset shape and the options:
+/// the bound family and its Theorem 4 memory plan. For the segment modes
+/// plan.s is the segment count and plan.compressed == (plan.s < d).
+struct EngineGeometry {
+  EngineMode mode = EngineMode::kDirectEd;
+  /// The resolved bound (kAuto only for CS/PCC, which have one geometry).
+  EngineOptions::Bound bound = EngineOptions::Bound::kAuto;
+  MemoryPlan plan;
+
+  /// `options` with this geometry pinned: a Build on any subset of the
+  /// rows resolves the same mode and segment count. ShardedPimEngine
+  /// resolves on the full dataset and pins the outcome on every shard, so
+  /// a shard's smaller plan cannot change the bound function (results
+  /// would otherwise depend on the shard count).
+  EngineOptions Pin(EngineOptions options) const {
+    options.bound = bound;
+    if (mode == EngineMode::kSegmentFnn || mode == EngineMode::kSegmentSm) {
+      options.force_segments = plan.s;
+    }
+    return options;
+  }
+};
+
+/// Resolves the geometry of an n x d dataset: the one bound and plan
+/// selection, errors included — empty data, Hamming, CS/PCC with a
+/// non-automatic bound or without room at full dimensionality, a direct-ED
+/// bound that does not fit, forced segments above the Theorem 4 maximum.
+/// ED with the automatic bound goes direct when the dataset fits at full
+/// dimensionality and segment-FNN otherwise.
+Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
+                                             Distance distance,
+                                             const EngineOptions& options);
+
 /// The paper's framework in one object (§V): offline, it normalizes the
 /// roles — quantize the dataset (Eq. 5-6), compress it to the Theorem 4
 /// dimensionality if needed (§V-C), program the PIM array, and pre-compute
@@ -114,9 +147,9 @@ class PimEngine {
     std::vector<float> stds;
   };
 
-  /// Builds the offline state: plans the layout (Theorem 4), programs the
-  /// PIM array, and pre-computes Phi for every object. `data` rows must be
-  /// in [0, 1].
+  /// Builds the offline state: resolves the geometry
+  /// (ResolveEngineGeometry), programs the PIM array, and pre-computes Phi
+  /// for every object. `data` rows must be in [0, 1].
   static Result<std::unique_ptr<PimEngine>> Build(const FloatMatrix& data,
                                                   Distance distance,
                                                   const EngineOptions& options);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -31,197 +30,102 @@ uint64_t ReplicaSeedSalt(uint64_t j, uint64_t r) {
   return ShardSeedSalt(0x5eed0000ULL + j * ShardOptions::kMaxReplicas + r);
 }
 
-/// Token feeding the seeded backoff jitter: a pure mix of the dispatch
-/// instant and the shard, so concurrent ladders of the same dispatch draw
-/// identical waits regardless of thread interleaving.
-uint64_t BackoffToken(uint64_t now_ns, uint64_t shard) {
-  return ShardSeedSalt(now_ns ^ ShardSeedSalt(shard));
-}
-
-ShardMap TrivialShardMap(size_t n) {
-  ShardMap map;
-  map.rows_per_shard.resize(1);
-  map.rows_per_shard[0].resize(n);
-  std::iota(map.rows_per_shard[0].begin(), map.rows_per_shard[0].end(), 0u);
-  map.shard_of.assign(n, 0);
-  map.local_of = map.rows_per_shard[0];
-  return map;
-}
-
-/// Assembles a FailoverStats snapshot from a shard's atomic counters; the
-/// ns figure is derived from the integer counters at snapshot time (same
-/// linear TransferLatencyNs formula as the scatter/gather classes), so it
-/// is identical for every charge interleaving.
+/// Snapshot of a shard's failover counters. failover_ns is derived from
+/// the integer counters at snapshot time (the TransferNs formula of the
+/// scatter/gather classes plus the backoff), so it is identical for every
+/// charge interleaving.
 template <typename Counters>
 FailoverStats LoadFailover(const Counters& ctr, const PimConfig& c) {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   FailoverStats f;
-  f.injected = ctr.fo_injected.load(kRelaxed);
-  f.recovered = ctr.fo_recovered.load(kRelaxed);
-  f.shed = ctr.fo_shed.load(kRelaxed);
-  f.attempts_failed = ctr.fo_attempts_failed.load(kRelaxed);
-  f.chaos_denied = ctr.fo_chaos_denied.load(kRelaxed);
-  f.device_faults = ctr.fo_device_faults.load(kRelaxed);
-  f.strikes = ctr.fo_strikes.load(kRelaxed);
-  f.struck_out = ctr.fo_struck_out.load(kRelaxed);
-  f.slack_fills = ctr.fo_slack_fills.load(kRelaxed);
-  f.retry_messages = ctr.fo_retry_messages.load(kRelaxed);
-  f.retry_bytes = ctr.fo_retry_bytes.load(kRelaxed);
-  f.backoff_ns = ctr.fo_backoff_ns.load(kRelaxed);
-  f.failover_ns =
-      static_cast<double>(f.retry_messages) * c.interconnect_hop_ns +
-      static_cast<double>(f.retry_bytes) / c.interconnect_gbps +
-      static_cast<double>(f.backoff_ns);
+#define PIMINE_LOAD(field, family, help) \
+  f.field = ctr.field.load(std::memory_order_relaxed);
+  PIMINE_FAILOVER_COUNTERS(PIMINE_LOAD)
+#undef PIMINE_LOAD
+  f.failover_ns = TransferNs(c, f.retry_messages, f.retry_bytes) +
+                  static_cast<double>(f.backoff_ns);
   return f;
+}
+
+/// Adds a shard's interconnect counters to the matching fields of `stats`
+/// (ShardHealth for one shard, FleetRunStats summed over all of them).
+template <typename Counters, typename Stats>
+void AddLinkCounters(const Counters& ctr, Stats* stats) {
+#define PIMINE_ADD(field, family, help) \
+  stats->field += ctr.field.load(std::memory_order_relaxed);
+  PIMINE_SHARD_LINK_COUNTERS(PIMINE_ADD)
+#undef PIMINE_ADD
+}
+
+/// A shard's replicas serve it one at a time (failed attempts serialize
+/// with the eventual success), so a shard's figure is the sum of `ns` over
+/// its replicas; the shards run concurrently, so the fleet figure is the
+/// max over shards. Clean runs charge only the primary — identical to the
+/// pre-replica fleet.
+template <typename Engines, typename Ns>
+double MaxShardSum(const Engines& engines, Ns ns) {
+  double max_ns = 0.0;
+  for (const auto& shard : engines) {
+    double shard_ns = 0.0;
+    for (const auto& e : shard) shard_ns += ns(*e);
+    max_ns = std::max(max_ns, shard_ns);
+  }
+  return max_ns;
 }
 
 }  // namespace
 
 Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
     const FloatMatrix& data, Distance distance, const EngineOptions& options) {
+  PIMINE_RETURN_IF_ERROR(options.shard.ValidateReplication());
+  // Resolved on the FULL dataset and pinned on every shard: a smaller
+  // shard must not pick a different Theorem 4 plan, or results would
+  // depend on the shard count.
+  PIMINE_ASSIGN_OR_RETURN(
+      const EngineGeometry geometry,
+      ResolveEngineGeometry(static_cast<int64_t>(data.rows()),
+                            static_cast<int64_t>(data.cols()), distance,
+                            options));
   auto fleet = std::unique_ptr<ShardedPimEngine>(new ShardedPimEngine());
   fleet->options_ = options;
   fleet->num_objects_ = data.rows();
-  PIMINE_RETURN_IF_ERROR(options.shard.ValidateReplication());
-  const int num_replicas = options.shard.replicas;
-
-  // Programs replicas 1..R-1 of one shard: each copy is a full build of
-  // the same shard data with a decorrelated fault seed (its own physical
-  // device), charging its own offline programming pass.
-  const auto add_replicas = [&](size_t j, const FloatMatrix& shard_data,
-                                const EngineOptions& primary_options)
-      -> Status {
-    for (int r = 1; r < num_replicas; ++r) {
-      EngineOptions er = primary_options;
-      er.fault_config.seed ^= ReplicaSeedSalt(j, static_cast<uint64_t>(r));
-      PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> replica,
-                              PimEngine::Build(shard_data, distance, er));
-      fleet->engines_[j].push_back(std::move(replica));
-    }
-    return Status::OK();
-  };
-
-  if (options.shard.shards == 1) {
-    // Single device: exactly a PimEngine (same errors, stats and traces).
-    PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> engine,
-                            PimEngine::Build(data, distance, options));
-    fleet->plan_ = engine->plan();
-    fleet->engines_.emplace_back();
-    fleet->engines_[0].push_back(std::move(engine));
-    PIMINE_RETURN_IF_ERROR(add_replicas(0, data, options));
-    fleet->map_ = TrivialShardMap(data.rows());
-    fleet->shard_counters_.push_back(std::make_unique<ShardCounters>());
-    fleet->InitReplicaState();
-    return fleet;
-  }
-
+  fleet->plan_ = geometry.plan;
   PIMINE_ASSIGN_OR_RETURN(fleet->map_, BuildShardMap(data, options.shard));
-  if (distance == Distance::kHamming) {
-    return Status::InvalidArgument(
-        "use PimHammingEngine for binary-code workloads");
-  }
-  const int64_t n = static_cast<int64_t>(data.rows());
-  const int64_t d = static_cast<int64_t>(data.cols());
+  EngineOptions pinned = geometry.Pin(options);
+  pinned.shard = ShardOptions();  // each member is one device.
 
-  // Resolve the bound family and segment geometry on the FULL dataset,
-  // replicating PimEngine::Build's selection (including its capacity
-  // errors), then force the outcome on every shard: a shard's smaller plan
-  // must not change the bound function, or results would depend on M.
-  EngineOptions shard_options = options;
-  shard_options.shard = ShardOptions();  // each member is one device.
-  if (distance == Distance::kCosine || distance == Distance::kPearson) {
-    if (options.bound != EngineOptions::Bound::kAuto) {
-      return Status::InvalidArgument(
-          "CS/PCC engines only support the automatic bound");
-    }
-    PIMINE_ASSIGN_OR_RETURN(fleet->plan_,
-                            PlanPimLayout(n, d, options.operand_bits, 1,
-                                          options.pim_config));
-    if (fleet->plan_.compressed) {
-      return Status::CapacityExceeded(
-          "CS/PCC require the full-dimensionality dataset on PIM; "
-          "enlarge the PIM array");
-    }
-  } else {
-    EngineOptions::Bound bound = options.bound;
-    MemoryPlan plan;
-    if (bound == EngineOptions::Bound::kAuto) {
-      PIMINE_ASSIGN_OR_RETURN(plan, PlanPimLayout(n, d, options.operand_bits,
-                                                  1, options.pim_config));
-      bound = plan.compressed ? EngineOptions::Bound::kSegmentFnn
-                              : EngineOptions::Bound::kDirectEd;
-    }
-    switch (bound) {
-      case EngineOptions::Bound::kDirectEd: {
-        PIMINE_ASSIGN_OR_RETURN(plan,
-                                PlanPimLayout(n, d, options.operand_bits, 1,
-                                              options.pim_config));
-        if (plan.compressed) {
-          return Status::CapacityExceeded(
-              "full-dimensionality LB_PIM-ED does not fit; use a segment "
-              "bound");
-        }
-        shard_options.bound = EngineOptions::Bound::kDirectEd;
-        break;
+  const size_t m = fleet->map_.shards();
+  fleet->engines_.resize(m);
+  fleet->replica_state_.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    // One shard programs `data` itself; a split copies each shard's rows.
+    FloatMatrix shard_data;
+    if (m > 1) {
+      const std::vector<uint32_t>& rows = fleet->map_.rows_per_shard[j];
+      shard_data = FloatMatrix(rows.size(), data.cols());
+      for (size_t local = 0; local < rows.size(); ++local) {
+        const auto src = data.row(rows[local]);
+        std::copy(src.begin(), src.end(),
+                  shard_data.mutable_row(local).begin());
       }
-      case EngineOptions::Bound::kSegmentFnn:
-      case EngineOptions::Bound::kSegmentSm: {
-        const int copies = bound == EngineOptions::Bound::kSegmentFnn ? 2 : 1;
-        PIMINE_ASSIGN_OR_RETURN(plan,
-                                PlanPimLayout(n, d, options.operand_bits,
-                                              copies, options.pim_config));
-        int64_t s = std::min(plan.s, std::max<int64_t>(1, d / 4));
-        if (options.force_segments > 0) {
-          if (options.force_segments > plan.s) {
-            return Status::CapacityExceeded(
-                "forced segment count exceeds the Theorem 4 maximum");
-          }
-          s = options.force_segments;
-        }
-        plan.s = s;
-        plan.compressed = s < d;
-        shard_options.bound = bound;
-        shard_options.force_segments = s;
-        break;
+    }
+    // Every copy (shard x replica) is its own physical device with its own
+    // fault pattern, charging its own offline programming pass.
+    for (int r = 0; r < options.shard.replicas; ++r) {
+      EngineOptions copy = pinned;
+      if (j > 0) copy.fault_config.seed ^= ShardSeedSalt(j);
+      if (r > 0) {
+        copy.fault_config.seed ^=
+            ReplicaSeedSalt(j, static_cast<uint64_t>(r));
       }
-      case EngineOptions::Bound::kAuto:
-        return Status::Internal("unreachable engine bound selection");
+      PIMINE_ASSIGN_OR_RETURN(
+          std::unique_ptr<PimEngine> engine,
+          PimEngine::Build(m > 1 ? shard_data : data, distance, copy));
+      fleet->engines_[j].push_back(std::move(engine));
+      fleet->replica_state_[j].push_back(std::make_unique<ReplicaState>());
     }
-    fleet->plan_ = plan;
-  }
-
-  fleet->engines_.resize(fleet->map_.shards());
-  for (size_t j = 0; j < fleet->map_.shards(); ++j) {
-    const std::vector<uint32_t>& rows = fleet->map_.rows_per_shard[j];
-    FloatMatrix shard_data(rows.size(), static_cast<size_t>(d));
-    for (size_t local = 0; local < rows.size(); ++local) {
-      const auto src = data.row(rows[local]);
-      std::copy(src.begin(), src.end(),
-                shard_data.mutable_row(local).begin());
-    }
-    EngineOptions ej = shard_options;
-    if (j > 0) ej.fault_config.seed ^= ShardSeedSalt(j);
-    PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> primary,
-                            PimEngine::Build(shard_data, distance, ej));
-    fleet->engines_[j].push_back(std::move(primary));
-    PIMINE_RETURN_IF_ERROR(add_replicas(j, shard_data, ej));
-  }
-  fleet->shard_counters_.reserve(fleet->engines_.size());
-  for (size_t j = 0; j < fleet->engines_.size(); ++j) {
     fleet->shard_counters_.push_back(std::make_unique<ShardCounters>());
   }
-  fleet->InitReplicaState();
   return fleet;
-}
-
-void ShardedPimEngine::InitReplicaState() {
-  replica_state_.resize(engines_.size());
-  for (size_t j = 0; j < engines_.size(); ++j) {
-    replica_state_[j].clear();
-    for (size_t r = 0; r < engines_[j].size(); ++r) {
-      replica_state_[j].push_back(std::make_unique<ReplicaState>());
-    }
-  }
 }
 
 Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
@@ -285,17 +189,13 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
   }
   if (!multi) return Status::OK();
 
-  // Interconnect accounting: one broadcast message per shard per device
-  // matrix carrying the batch operands, one gather message per shard per
-  // device matrix carrying that shard's results.
+  // Interconnect accounting, charged to the shard each message terminates
+  // at: every shard receives one operand broadcast per device matrix and
+  // returns one result message per device matrix carrying its own dot
+  // products.
   const bool with_stds = mode() == EngineMode::kSegmentFnn;
-  const uint64_t matrices = with_stds ? 2 : 1;
-  const uint64_t operand_bytes =
-      (scratch->ints.size() + scratch->ints2.size()) * sizeof(int32_t);
-  // Charged to the shard each message terminates at: every shard receives
-  // one operand broadcast per device matrix and returns one result message
-  // per device matrix carrying its own dot products. Totals over shards
-  // equal the former fleet-level charges exactly.
+  const uint64_t matrices = DeviceMatrices();
+  const uint64_t operand_bytes = OperandBytes(num_queries);
   for (size_t j = 0; j < m; ++j) {
     const PimEngine::QueryHandleBatch& h = out.shards[j];
     ShardCounters& ctr = *shard_counters_[j];
@@ -324,100 +224,87 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
   return Status::OK();
 }
 
+uint64_t ShardedPimEngine::LadderToken(uint64_t now_ns, size_t j) {
+  return ShardSeedSalt(now_ns ^ ShardSeedSalt(j));
+}
+
 Status ShardedPimEngine::DeviceBatchWithFailover(
     size_t j, const QueryScratch& scratch, size_t num_queries,
     PimEngine::QueryHandleBatch* handle, const DispatchOptions& dispatch,
     bool emit_query_spans) const {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   ShardCounters& ctr = *shard_counters_[j];
-  const int num_replicas = static_cast<int>(engines_[j].size());
-  const bool multi_replica = num_replicas > 1;
-  const uint64_t now_ns = dispatch.now_ns != 0
-                              ? dispatch.now_ns
-                              : chaos_now_ns_.load(kRelaxed);
-  const uint64_t matrices = mode() == EngineMode::kSegmentFnn ? 2 : 1;
-  const uint64_t retry_bytes = RetryOperandBytes(num_queries);
-  const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
+  const std::vector<std::unique_ptr<ReplicaState>>& health = replica_state_[j];
+  const int num_replicas = static_cast<int>(health.size());
 
-  // Consecutive-failure strike bookkeeping is meaningful only when there
-  // is somewhere to fail over to: with one replica the legacy semantics
-  // (attempt the device, escalate on a fault) are preserved untouched.
-  const auto strike = [&](ReplicaState& rs) {
-    if (!multi_replica) return;
-    ctr.fo_strikes.fetch_add(1, kRelaxed);
-    const uint32_t strikes =
-        rs.strikes.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (strikes >= static_cast<uint32_t>(options_.shard.max_strikes) &&
-        !rs.out.exchange(true, std::memory_order_acq_rel)) {
-      ctr.fo_struck_out.fetch_add(1, kRelaxed);
-    }
-  };
-
-  int failed = 0;
-  uint64_t backoff_total = 0;
-  bool skipped_out = false;
-  bool deadline_shed = false;
+  bool skipped = false;
+  uint64_t denials = 0;
+  Status hard_error;
   std::string last_fault;
-  for (int r = 0; r < num_replicas; ++r) {
-    ReplicaState& rs = *replica_state_[j][r];
-    if (rs.out.load(std::memory_order_acquire)) {
-      skipped_out = true;
-      continue;
+  const FailoverPlan walk = WalkLadder(
+      j, num_queries, dispatch,
+      [&](int r) {
+        const bool out = health[r]->out.load(std::memory_order_acquire);
+        skipped = skipped || out;
+        return out;
+      },
+      [&](int r, bool denied) {
+        if (denied) {
+          ++denials;
+        } else {
+          const Status s = engines_[j][r]->DeviceBatch(
+              scratch, num_queries, handle, emit_query_spans);
+          if (s.ok()) {
+            health[r]->strikes.store(0, kRelaxed);
+            return LadderStep::kServed;
+          }
+          if (s.code() != StatusCode::kDeviceFault) {
+            hard_error = s;
+            return LadderStep::kAbort;
+          }
+          last_fault = "replica " + std::to_string(r) + ": " + s.message();
+        }
+        // Consecutive-failure strikes are meaningful only when there is
+        // somewhere to fail over to: with one replica the legacy semantics
+        // (attempt the device, escalate on a fault) are kept untouched.
+        if (num_replicas > 1) {
+          ctr.strikes.fetch_add(1, kRelaxed);
+          ReplicaState& rs = *health[r];
+          const uint32_t strikes =
+              rs.strikes.fetch_add(1, std::memory_order_acq_rel) + 1;
+          if (strikes >= static_cast<uint32_t>(options_.shard.max_strikes) &&
+              !rs.out.exchange(true, std::memory_order_acq_rel)) {
+            ctr.struck_out.fetch_add(1, kRelaxed);
+          }
+        }
+        return LadderStep::kFailed;
+      });
+  const uint64_t failed = static_cast<uint64_t>(walk.failed_attempts);
+  if (failed > 0) {
+    ctr.attempts_failed.fetch_add(failed, kRelaxed);
+    ctr.chaos_denied.fetch_add(denials, kRelaxed);
+    ctr.device_faults.fetch_add(failed - denials, kRelaxed);
+    ctr.backoff_ns.fetch_add(walk.backoff_ns, kRelaxed);
+    ctr.retry_messages.fetch_add(walk.rungs * DeviceMatrices(), kRelaxed);
+    ctr.retry_bytes.fetch_add(walk.rungs * OperandBytes(num_queries),
+                              kRelaxed);
+  }
+  if (!hard_error.ok()) return hard_error;
+  if (!walk.shed) {
+    ctr.serving_replica.store(static_cast<uint32_t>(walk.serving_replica),
+                              kRelaxed);
+    ctr.slack_mode.store(false, kRelaxed);
+    if (failed > 0 || skipped) {
+      ctr.injected.fetch_add(1, kRelaxed);
+      ctr.recovered.fetch_add(1, kRelaxed);
     }
-    if (failed > 0) {
-      // Retry transition: seeded exponential backoff, then re-scatter the
-      // operands to the new replica. The deadline is checked BEFORE the
-      // wait is charged — an op that cannot afford the next rung sheds
-      // immediately rather than burning budget it does not have.
-      const uint64_t wait = FailoverBackoffNs(
-          options_.shard.backoff_base_ns, options_.shard.backoff_jitter_ns,
-          options_.shard.backoff_seed, BackoffToken(now_ns, j), failed);
-      if (dispatch.deadline_ns != 0 &&
-          backoff_total + wait > dispatch.deadline_ns) {
-        deadline_shed = true;
-        break;
-      }
-      backoff_total += wait;
-      ctr.fo_backoff_ns.fetch_add(wait, kRelaxed);
-      ctr.fo_retry_messages.fetch_add(matrices, kRelaxed);
-      ctr.fo_retry_bytes.fetch_add(retry_bytes, kRelaxed);
-    }
-    if (chaos_on &&
-        (chaos_->LinkDown(static_cast<uint32_t>(j), now_ns) ||
-         chaos_->ReplicaDown(static_cast<uint32_t>(j),
-                             static_cast<uint32_t>(r), now_ns))) {
-      // The chaos schedule denies this attempt outright: the replica (or
-      // the shard's interconnect) is unavailable at the dispatch instant.
-      ++failed;
-      ctr.fo_attempts_failed.fetch_add(1, kRelaxed);
-      ctr.fo_chaos_denied.fetch_add(1, kRelaxed);
-      strike(rs);
-      continue;
-    }
-    const Status s = engines_[j][r]->DeviceBatch(scratch, num_queries, handle,
-                                                 emit_query_spans);
-    if (s.ok()) {
-      rs.strikes.store(0, kRelaxed);
-      ctr.serving_replica.store(static_cast<uint32_t>(r), kRelaxed);
-      ctr.slack_mode.store(false, kRelaxed);
-      if (failed > 0 || skipped_out) {
-        ctr.fo_injected.fetch_add(1, kRelaxed);
-        ctr.fo_recovered.fetch_add(1, kRelaxed);
-      }
-      return Status::OK();
-    }
-    if (s.code() != StatusCode::kDeviceFault) return s;
-    ++failed;
-    ctr.fo_attempts_failed.fetch_add(1, kRelaxed);
-    ctr.fo_device_faults.fetch_add(1, kRelaxed);
-    strike(rs);
-    last_fault = "replica " + std::to_string(r) + ": " + s.message();
+    return Status::OK();
   }
 
   // Every replica exhausted (struck out, denied, faulted, or priced out by
   // the ladder deadline): the op loses its device path.
-  ctr.fo_injected.fetch_add(1, kRelaxed);
-  ctr.fo_shed.fetch_add(1, kRelaxed);
+  ctr.injected.fetch_add(1, kRelaxed);
+  ctr.shed.fetch_add(1, kRelaxed);
   if (!options_.shard.failover) {
     // No escalation configured: the shed op propagates as a DeviceFault
     // carrying its provenance — shard index, replica ids walked, and a
@@ -427,11 +314,11 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     char nonce[20];
     std::snprintf(nonce, sizeof(nonce), "%016llx",
                   static_cast<unsigned long long>(
-                      BackoffToken(now_ns, j) ^ num_queries));
+                      LadderToken(DispatchNowNs(dispatch), j) ^ num_queries));
     return Status::DeviceFault(
         "shard " + std::to_string(j) + " (op " + nonce + "): all " +
         std::to_string(num_replicas) + " replica(s) exhausted" +
-        (deadline_shed ? " (ladder deadline exceeded)" : "") +
+        (walk.deadline_shed ? " (ladder deadline exceeded)" : "") +
         (last_fault.empty() ? "" : "; last fault at " + last_fault));
   }
   if (dispatch.slack_on_exhaustion) {
@@ -439,7 +326,7 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     // is the admissible trivial bound, so results stay exact after refine
     // while the shard sheds its modeled device work.
     PIMINE_RETURN_IF_ERROR(primary(j).SlackFillBatch(num_queries, handle));
-    ctr.fo_slack_fills.fetch_add(1, kRelaxed);
+    ctr.slack_fills.fetch_add(1, kRelaxed);
     ctr.slack_mode.store(true, kRelaxed);
   } else {
     PIMINE_RETURN_IF_ERROR(
@@ -447,74 +334,33 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     ctr.slack_mode.store(false, kRelaxed);
   }
   ctr.serving_replica.store(static_cast<uint32_t>(num_replicas), kRelaxed);
-  ctr.failovers.fetch_add(1, std::memory_order_relaxed);
-  ctr.failed_over_queries.fetch_add(num_queries, std::memory_order_relaxed);
+  ctr.failovers.fetch_add(1, kRelaxed);
+  ctr.failed_over_queries.fetch_add(num_queries, kRelaxed);
   return Status::OK();
 }
 
 ShardedPimEngine::FailoverPlan ShardedPimEngine::PlanFailover(
     size_t j, size_t num_queries, const DispatchOptions& dispatch) const {
-  FailoverPlan plan;
-  if (chaos_ == nullptr || !chaos_->enabled()) return plan;
   PIMINE_DCHECK(j < engines_.size());
-  const int num_replicas = static_cast<int>(engines_[j].size());
-  const uint64_t now_ns = dispatch.now_ns != 0
-                              ? dispatch.now_ns
-                              : chaos_now_ns_.load(std::memory_order_relaxed);
-  const PimConfig& c = primary(0).device1().config();
-  const uint64_t matrices = mode() == EngineMode::kSegmentFnn ? 2 : 1;
-  const uint64_t retry_bytes = RetryOperandBytes(num_queries);
-  const double retry_ns =
-      static_cast<double>(matrices) * c.interconnect_hop_ns +
-      static_cast<double>(retry_bytes) / c.interconnect_gbps;
-
-  int failed = 0;
-  uint64_t backoff_total = 0;
-  double extra = 0.0;
-  for (int r = 0; r < num_replicas; ++r) {
-    if (failed > 0) {
-      const uint64_t wait = FailoverBackoffNs(
-          options_.shard.backoff_base_ns, options_.shard.backoff_jitter_ns,
-          options_.shard.backoff_seed, BackoffToken(now_ns, j), failed);
-      if (dispatch.deadline_ns != 0 &&
-          backoff_total + wait > dispatch.deadline_ns) {
-        break;
-      }
-      backoff_total += wait;
-      extra += static_cast<double>(wait) + retry_ns;
-    }
-    if (chaos_->LinkDown(static_cast<uint32_t>(j), now_ns) ||
-        chaos_->ReplicaDown(static_cast<uint32_t>(j),
-                            static_cast<uint32_t>(r), now_ns)) {
-      ++failed;
-      continue;
-    }
-    plan.serving_replica = r;
-    plan.failed_attempts = failed;
-    plan.backoff_ns = backoff_total;
-    plan.extra_ns = extra;
-    return plan;
-  }
-  plan.serving_replica = -1;
-  plan.shed = true;
-  plan.failed_attempts = failed;
-  plan.backoff_ns = backoff_total;
-  plan.extra_ns = extra;
-  return plan;
+  // The executing walk with no strike state and no device call: every
+  // attempt the schedule does not deny is served.
+  return WalkLadder(
+      j, num_queries, dispatch, [](int) { return false; },
+      [](int, bool denied) {
+        return denied ? LadderStep::kFailed : LadderStep::kServed;
+      });
 }
 
-uint64_t ShardedPimEngine::RetryOperandBytes(size_t num_queries) const {
+uint64_t ShardedPimEngine::OperandBytes(size_t num_queries) const {
   const PimEngine& e = primary(0);
-  // Mirrors the operand width PrepareBatch quantizes into the scratch
-  // buffers: segment-family engines carry one int per segment per query,
-  // direct engines one per dimension, and the FNN bound carries a second
-  // matrix of the same width.
+  // The operands PrepareBatch quantizes into the scratch buffers: one int
+  // per segment (segment modes) or per dimension (direct modes) per query,
+  // on each device matrix.
   const uint64_t width = e.num_segments() > 0
                              ? static_cast<uint64_t>(e.num_segments())
                              : static_cast<uint64_t>(e.dims());
-  uint64_t ints = width * static_cast<uint64_t>(num_queries);
-  if (e.mode() == EngineMode::kSegmentFnn) ints *= 2;
-  return ints * sizeof(int32_t);
+  return width * static_cast<uint64_t>(num_queries) * DeviceMatrices() *
+         sizeof(int32_t);
 }
 
 double ShardedPimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
@@ -712,28 +558,15 @@ void ShardedPimEngine::ResetReplicaHealth() {
 }
 
 double ShardedPimEngine::PimComputeNs() const {
-  // A shard's replicas serve it one at a time (failed attempts serialize
-  // with the eventual success), so a shard's figure is the sum over its
-  // replicas; the shards run concurrently, so the fleet figure is the max
-  // over shards. Clean runs charge only the primary — identical to the
-  // pre-replica fleet.
-  double ns = 0.0;
-  for (const auto& shard : engines_) {
-    double shard_ns = 0.0;
-    for (const auto& e : shard) shard_ns += e->PimComputeNs();
-    ns = std::max(ns, shard_ns);
-  }
-  return ns;
+  return MaxShardSum(engines_, [](const PimEngine& e) {
+    return e.PimComputeNs();
+  });
 }
 
 double ShardedPimEngine::PimPipelinedNs() const {
-  double ns = 0.0;
-  for (const auto& shard : engines_) {
-    double shard_ns = 0.0;
-    for (const auto& e : shard) shard_ns += e->PimPipelinedNs();
-    ns = std::max(ns, shard_ns);
-  }
-  return ns;
+  return MaxShardSum(engines_, [](const PimEngine& e) {
+    return e.PimPipelinedNs();
+  });
 }
 
 FaultStats ShardedPimEngine::FaultStatsTotal() const {
@@ -767,24 +600,11 @@ void ShardedPimEngine::ResetOnlineStats() {
     for (const auto& e : shard) e->ResetOnlineStats();
   }
   for (const auto& ctr : shard_counters_) {
-    ctr->scatter_messages.store(0, std::memory_order_relaxed);
-    ctr->scatter_bytes.store(0, std::memory_order_relaxed);
-    ctr->gather_messages.store(0, std::memory_order_relaxed);
-    ctr->gather_bytes.store(0, std::memory_order_relaxed);
-    ctr->failovers.store(0, std::memory_order_relaxed);
-    ctr->failed_over_queries.store(0, std::memory_order_relaxed);
-    ctr->fo_injected.store(0, std::memory_order_relaxed);
-    ctr->fo_recovered.store(0, std::memory_order_relaxed);
-    ctr->fo_shed.store(0, std::memory_order_relaxed);
-    ctr->fo_attempts_failed.store(0, std::memory_order_relaxed);
-    ctr->fo_chaos_denied.store(0, std::memory_order_relaxed);
-    ctr->fo_device_faults.store(0, std::memory_order_relaxed);
-    ctr->fo_strikes.store(0, std::memory_order_relaxed);
-    ctr->fo_struck_out.store(0, std::memory_order_relaxed);
-    ctr->fo_slack_fills.store(0, std::memory_order_relaxed);
-    ctr->fo_retry_messages.store(0, std::memory_order_relaxed);
-    ctr->fo_retry_bytes.store(0, std::memory_order_relaxed);
-    ctr->fo_backoff_ns.store(0, std::memory_order_relaxed);
+#define PIMINE_RESET(field, family, help) \
+  ctr->field.store(0, std::memory_order_relaxed);
+    PIMINE_SHARD_LINK_COUNTERS(PIMINE_RESET)
+    PIMINE_FAILOVER_COUNTERS(PIMINE_RESET)
+#undef PIMINE_RESET
     ctr->serving_replica.store(0, std::memory_order_relaxed);
     ctr->slack_mode.store(false, std::memory_order_relaxed);
   }
@@ -799,32 +619,19 @@ FleetRunStats ShardedPimEngine::FleetStats() const {
   // Interconnect/failover totals are the exact sums of the per-shard
   // counters (integer addition; identical to the former fleet-level
   // fetch_adds for any charge interleaving).
-  const PimConfig& c = primary(0).device1().config();
+  const PimConfig& c = device1().config();
   for (const auto& ctr : shard_counters_) {
-    s.scatter_messages +=
-        ctr->scatter_messages.load(std::memory_order_relaxed);
-    s.scatter_bytes += ctr->scatter_bytes.load(std::memory_order_relaxed);
-    s.gather_messages +=
-        ctr->gather_messages.load(std::memory_order_relaxed);
-    s.gather_bytes += ctr->gather_bytes.load(std::memory_order_relaxed);
-    s.failovers += ctr->failovers.load(std::memory_order_relaxed);
-    s.failed_over_queries +=
-        ctr->failed_over_queries.load(std::memory_order_relaxed);
+    AddLinkCounters(*ctr, &s);
     s.failover.Merge(LoadFailover(*ctr, c));
   }
   s.reduce_messages = reduce_messages_.load(std::memory_order_relaxed);
   s.reduce_bytes = reduce_bytes_.load(std::memory_order_relaxed);
   s.degraded_shards = DegradedShards();
-  // Derived at snapshot time from the integer counters: summing
-  // TransferLatencyNs per message == messages * hop_ns + bytes / gbps, so
-  // the figures are independent of charge interleaving.
-  const auto class_ns = [&c](uint64_t messages, uint64_t bytes) {
-    return static_cast<double>(messages) * c.interconnect_hop_ns +
-           static_cast<double>(bytes) / c.interconnect_gbps;
-  };
-  s.scatter_ns = class_ns(s.scatter_messages, s.scatter_bytes);
-  s.gather_ns = class_ns(s.gather_messages, s.gather_bytes);
-  s.reduce_ns = class_ns(s.reduce_messages, s.reduce_bytes);
+  // Derived at snapshot time from the integer counters, so the figures are
+  // independent of charge interleaving.
+  s.scatter_ns = TransferNs(c, s.scatter_messages, s.scatter_bytes);
+  s.gather_ns = TransferNs(c, s.gather_messages, s.gather_bytes);
+  s.reduce_ns = TransferNs(c, s.reduce_messages, s.reduce_bytes);
   s.appended_rows = mut_appended_rows_.load(std::memory_order_relaxed);
   s.deleted_rows = mut_deleted_rows_.load(std::memory_order_relaxed);
   s.compactions = mut_compactions_.load(std::memory_order_relaxed);
@@ -835,13 +642,11 @@ FleetRunStats ShardedPimEngine::FleetStats() const {
   // each wearing its own cells.
   for (const auto& shard : engines_) {
     for (const auto& e : shard) {
-      const PimDeviceStats s1 = e->device1().StatsSnapshot();
-      s.row_writes += s1.row_writes;
-      s.worn_rows += s1.worn_rows;
-      if (e->device2() != nullptr) {
-        const PimDeviceStats s2 = e->device2()->StatsSnapshot();
-        s.row_writes += s2.row_writes;
-        s.worn_rows += s2.worn_rows;
+      for (const PimDevice* dev : {&e->device1(), e->device2()}) {
+        if (dev == nullptr) continue;
+        const PimDeviceStats ds = dev->StatsSnapshot();
+        s.row_writes += ds.row_writes;
+        s.worn_rows += ds.worn_rows;
       }
     }
   }
@@ -853,36 +658,21 @@ ShardedPimEngine::ShardHealth ShardedPimEngine::ShardHealthSnapshot(
   PIMINE_DCHECK(j < engines_.size());
   ShardHealth h;
   const ShardCounters& ctr = *shard_counters_[j];
-  h.scatter_messages = ctr.scatter_messages.load(std::memory_order_relaxed);
-  h.scatter_bytes = ctr.scatter_bytes.load(std::memory_order_relaxed);
-  h.gather_messages = ctr.gather_messages.load(std::memory_order_relaxed);
-  h.gather_bytes = ctr.gather_bytes.load(std::memory_order_relaxed);
-  h.failovers = ctr.failovers.load(std::memory_order_relaxed);
-  h.failed_over_queries =
-      ctr.failed_over_queries.load(std::memory_order_relaxed);
-  const PimConfig& c = primary(0).device1().config();
-  const auto class_ns = [&c](uint64_t messages, uint64_t bytes) {
-    return static_cast<double>(messages) * c.interconnect_hop_ns +
-           static_cast<double>(bytes) / c.interconnect_gbps;
-  };
-  h.scatter_ns = class_ns(h.scatter_messages, h.scatter_bytes);
-  h.gather_ns = class_ns(h.gather_messages, h.gather_bytes);
+  AddLinkCounters(ctr, &h);
+  const PimConfig& c = device1().config();
+  h.scatter_ns = TransferNs(c, h.scatter_messages, h.scatter_bytes);
+  h.gather_ns = TransferNs(c, h.gather_messages, h.gather_bytes);
   // Device accounting sums over the shard's replicas: a failed attempt's
   // pass charges the replica it ran on.
   for (const auto& e : engines_[j]) {
-    const PimDeviceStats s1 = e->device1().StatsSnapshot();
-    h.batch_ops += s1.batch_ops;
-    h.queries_processed += s1.queries_processed;
-    h.pim_ns += s1.compute_ns;
-    h.pipelined_ns += s1.pipelined_ns;
-    h.fault.Merge(s1.fault);
-    if (e->device2() != nullptr) {
-      const PimDeviceStats s2 = e->device2()->StatsSnapshot();
-      h.batch_ops += s2.batch_ops;
-      h.queries_processed += s2.queries_processed;
-      h.pim_ns += s2.compute_ns;
-      h.pipelined_ns += s2.pipelined_ns;
-      h.fault.Merge(s2.fault);
+    for (const PimDevice* dev : {&e->device1(), e->device2()}) {
+      if (dev == nullptr) continue;
+      const PimDeviceStats ds = dev->StatsSnapshot();
+      h.batch_ops += ds.batch_ops;
+      h.queries_processed += ds.queries_processed;
+      h.pim_ns += ds.compute_ns;
+      h.pipelined_ns += ds.pipelined_ns;
+      h.fault.Merge(ds.fault);
     }
   }
   h.failover = LoadFailover(ctr, c);
@@ -900,22 +690,14 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
   r.SetHelp("pimine_fleet_degraded_shards",
             "Shards serving off-primary, in bound-slack mode, or carrying a "
             "struck-out replica.");
-  r.SetHelp("pimine_fleet_shard_scatter_messages_total",
-            "Operand broadcast messages received by this shard.");
-  r.SetHelp("pimine_fleet_shard_scatter_bytes_total",
-            "Operand bytes received by this shard.");
-  r.SetHelp("pimine_fleet_shard_gather_messages_total",
-            "Result messages returned by this shard.");
-  r.SetHelp("pimine_fleet_shard_gather_bytes_total",
-            "Result bytes returned by this shard.");
+#define PIMINE_HELP(field, family, help) r.SetHelp(family, help);
+  PIMINE_SHARD_LINK_COUNTERS(PIMINE_HELP)
+  PIMINE_FAILOVER_COUNTERS(PIMINE_HELP)
+#undef PIMINE_HELP
   r.SetHelp("pimine_fleet_shard_scatter_ns",
             "Modeled scatter transfer time charged to this shard.");
   r.SetHelp("pimine_fleet_shard_gather_ns",
             "Modeled gather transfer time charged to this shard.");
-  r.SetHelp("pimine_fleet_shard_failovers_total",
-            "Off-device escalations after the replica ladder was exhausted.");
-  r.SetHelp("pimine_fleet_shard_failed_over_queries_total",
-            "Queries served off-device on this shard.");
   r.SetHelp("pimine_fleet_shard_batch_ops_total",
             "Device batch operations issued on this shard.");
   r.SetHelp("pimine_fleet_shard_queries_total",
@@ -936,30 +718,6 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
             "Rows remapped to spare crossbar rows on this shard.");
   r.SetHelp("pimine_fleet_shard_fault_recovery_ns",
             "Modeled fault-recovery time spent on this shard.");
-  r.SetHelp("pimine_failover_injected_total",
-            "Shard-dispatch ops that lost at least one replica attempt.");
-  r.SetHelp("pimine_failover_recovered_total",
-            "Injected ops completed on a later healthy replica.");
-  r.SetHelp("pimine_failover_shed_total",
-            "Injected ops escalated off-device (host-exact or bound-slack).");
-  r.SetHelp("pimine_failover_attempts_failed_total",
-            "Individual replica attempts that failed on this shard.");
-  r.SetHelp("pimine_failover_chaos_denied_total",
-            "Replica attempts denied by the chaos schedule.");
-  r.SetHelp("pimine_failover_device_faults_total",
-            "Replica attempts lost to an unrecoverable device fault.");
-  r.SetHelp("pimine_failover_strikes_total",
-            "Strikes recorded against this shard's replicas.");
-  r.SetHelp("pimine_failover_struck_out_total",
-            "Replicas struck out of this shard's ladder.");
-  r.SetHelp("pimine_failover_slack_fills_total",
-            "Shed ops served as bound-slack fills on this shard.");
-  r.SetHelp("pimine_failover_retry_messages_total",
-            "Operand re-scatter messages to retry replicas.");
-  r.SetHelp("pimine_failover_retry_bytes_total",
-            "Operand re-scatter bytes to retry replicas.");
-  r.SetHelp("pimine_failover_backoff_ns_total",
-            "Seeded backoff waited between replica attempts.");
   r.SetHelp("pimine_fleet_shard_failover_ns",
             "Modeled failover time of this shard (retry transfer + backoff).");
   r.SetHelp("pimine_fleet_shard_serving_replica",
@@ -975,42 +733,30 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
       .Set(static_cast<double>(options_.shard.replicas));
   r.GetGauge("pimine_fleet_degraded_shards")
       .Set(static_cast<double>(DegradedShards()));
+  const auto count = [&r](const char* family,
+                          const obs::MetricLabels& labels, uint64_t value) {
+    obs::Counter& ctr = r.GetCounter(family, labels);
+    ctr.Reset();
+    ctr.Add(value);
+  };
   for (size_t j = 0; j < engines_.size(); ++j) {
     const ShardHealth h = ShardHealthSnapshot(j);
     const obs::MetricLabels labels = {{"shard", std::to_string(j)}};
-    const auto count = [&](const char* family, uint64_t value) {
-      obs::Counter& ctr = r.GetCounter(family, labels);
-      ctr.Reset();
-      ctr.Add(value);
-    };
-    count("pimine_fleet_shard_scatter_messages_total", h.scatter_messages);
-    count("pimine_fleet_shard_scatter_bytes_total", h.scatter_bytes);
-    count("pimine_fleet_shard_gather_messages_total", h.gather_messages);
-    count("pimine_fleet_shard_gather_bytes_total", h.gather_bytes);
-    count("pimine_fleet_shard_failovers_total", h.failovers);
-    count("pimine_fleet_shard_failed_over_queries_total",
-          h.failed_over_queries);
-    count("pimine_fleet_shard_batch_ops_total", h.batch_ops);
-    count("pimine_fleet_shard_queries_total", h.queries_processed);
-    count("pimine_fleet_shard_faults_injected_total", h.fault.injected);
-    count("pimine_fleet_shard_faults_detected_total", h.fault.detected);
-    count("pimine_fleet_shard_faults_escaped_total", h.fault.escaped);
-    count("pimine_fleet_shard_fault_retries_total", h.fault.retries);
-    count("pimine_fleet_shard_fault_remapped_rows_total",
+#define PIMINE_COUNT(field, family, help) count(family, labels, h.field);
+    PIMINE_SHARD_LINK_COUNTERS(PIMINE_COUNT)
+#undef PIMINE_COUNT
+    count("pimine_fleet_shard_batch_ops_total", labels, h.batch_ops);
+    count("pimine_fleet_shard_queries_total", labels, h.queries_processed);
+    count("pimine_fleet_shard_faults_injected_total", labels, h.fault.injected);
+    count("pimine_fleet_shard_faults_detected_total", labels, h.fault.detected);
+    count("pimine_fleet_shard_faults_escaped_total", labels, h.fault.escaped);
+    count("pimine_fleet_shard_fault_retries_total", labels, h.fault.retries);
+    count("pimine_fleet_shard_fault_remapped_rows_total", labels,
           h.fault.remapped_rows);
-    count("pimine_failover_injected_total", h.failover.injected);
-    count("pimine_failover_recovered_total", h.failover.recovered);
-    count("pimine_failover_shed_total", h.failover.shed);
-    count("pimine_failover_attempts_failed_total",
-          h.failover.attempts_failed);
-    count("pimine_failover_chaos_denied_total", h.failover.chaos_denied);
-    count("pimine_failover_device_faults_total", h.failover.device_faults);
-    count("pimine_failover_strikes_total", h.failover.strikes);
-    count("pimine_failover_struck_out_total", h.failover.struck_out);
-    count("pimine_failover_slack_fills_total", h.failover.slack_fills);
-    count("pimine_failover_retry_messages_total", h.failover.retry_messages);
-    count("pimine_failover_retry_bytes_total", h.failover.retry_bytes);
-    count("pimine_failover_backoff_ns_total", h.failover.backoff_ns);
+#define PIMINE_COUNT(field, family, help) \
+  count(family, labels, h.failover.field);
+    PIMINE_FAILOVER_COUNTERS(PIMINE_COUNT)
+#undef PIMINE_COUNT
     r.GetGauge("pimine_fleet_shard_scatter_ns", labels).Set(h.scatter_ns);
     r.GetGauge("pimine_fleet_shard_gather_ns", labels).Set(h.gather_ns);
     r.GetGauge("pimine_fleet_shard_pim_ns", labels).Set(h.pim_ns);
@@ -1023,15 +769,10 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
     r.GetGauge("pimine_fleet_shard_serving_replica", labels)
         .Set(static_cast<double>(h.serving_replica));
   }
-  const auto fleet_count = [&](const char* family, uint64_t value) {
-    obs::Counter& ctr = r.GetCounter(family);
-    ctr.Reset();
-    ctr.Add(value);
-  };
-  fleet_count("pimine_fleet_reduce_messages_total",
-              reduce_messages_.load(std::memory_order_relaxed));
-  fleet_count("pimine_fleet_reduce_bytes_total",
-              reduce_bytes_.load(std::memory_order_relaxed));
+  count("pimine_fleet_reduce_messages_total", {},
+        reduce_messages_.load(std::memory_order_relaxed));
+  count("pimine_fleet_reduce_bytes_total", {},
+        reduce_bytes_.load(std::memory_order_relaxed));
 
   // Mutable-dataset plane (DESIGN.md section 13): fleet-level mutation
   // counters plus the current delta/tombstone backlog and the endurance
@@ -1055,11 +796,11 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
             "Rows past the configured write-endurance limit over every "
             "device copy.");
   const FleetRunStats fs = FleetStats();
-  fleet_count("pimine_mutation_appended_rows_total", fs.appended_rows);
-  fleet_count("pimine_mutation_deleted_rows_total", fs.deleted_rows);
-  fleet_count("pimine_mutation_compactions_total", fs.compactions);
-  fleet_count("pimine_mutation_compacted_rows_total", fs.compacted_rows);
-  fleet_count("pimine_mutation_row_writes_total", fs.row_writes);
+  count("pimine_mutation_appended_rows_total", {}, fs.appended_rows);
+  count("pimine_mutation_deleted_rows_total", {}, fs.deleted_rows);
+  count("pimine_mutation_compactions_total", {}, fs.compactions);
+  count("pimine_mutation_compacted_rows_total", {}, fs.compacted_rows);
+  count("pimine_mutation_row_writes_total", {}, fs.row_writes);
   r.GetGauge("pimine_mutation_delta_rows")
       .Set(static_cast<double>(fs.delta_rows));
   r.GetGauge("pimine_mutation_tombstoned_rows")

@@ -50,14 +50,12 @@ struct FleetDispatchOptions {
 /// varies with M is the new FleetRunStats scatter/gather/reduce accounting
 /// (and the per-shard device batch_ops, like device_batch already does).
 ///
-/// shards == 1 constructs exactly one PimEngine from the original options
-/// and delegates wholesale: behaviour, traces and stats are those of a
-/// plain PimEngine, trivially.
-///
-/// The geometry (bound family, segment count) is always resolved on the
-/// FULL dataset, exactly as PimEngine::Build would, then forced on every
-/// shard — a smaller shard must not pick a different Theorem 4 plan, or
-/// results would depend on M.
+/// The geometry (bound family, segment count) is resolved once on the FULL
+/// dataset by ResolveEngineGeometry — the selection PimEngine::Build runs,
+/// errors included — then pinned on every shard: a smaller shard must not
+/// pick a different Theorem 4 plan, or results would depend on M. shards ==
+/// 1 is the same build over the identity map, programming the dataset
+/// itself with no per-shard copy.
 class ShardedPimEngine {
  public:
   using QueryScratch = PimEngine::QueryScratch;
@@ -96,18 +94,24 @@ class ShardedPimEngine {
   /// What the chaos-availability ladder will do for shard `j` dispatched
   /// at `dispatch.now_ns`: the serving replica (or shed), the failed
   /// attempts walked past, and the modeled extra time (seeded backoff +
-  /// operand re-scatter per retry). A PURE function of (chaos schedule,
-  /// options, dispatch) — the virtual-clock scheduler extends each formed
-  /// batch by the max over shards of extra_ns, and the executing ladder,
-  /// walking the same dispatch, charges the identical waits. Replica
-  /// strike state is deliberately NOT consulted: the timing model stays
-  /// stateless (see DESIGN.md section 12).
+  /// operand re-scatter per retry). It is the executing WalkLadder walk
+  /// with hooks that keep no strike state and call no device, so it is a
+  /// PURE function of (chaos schedule, options, dispatch) — the
+  /// virtual-clock scheduler extends each formed batch by the max over
+  /// shards of extra_ns, and the execution, walking the same dispatch,
+  /// charges the identical waits. Replica strike state is deliberately NOT
+  /// consulted: the timing model stays stateless (see DESIGN.md section
+  /// 12).
   struct FailoverPlan {
     int serving_replica = 0;  // -1 when the op sheds off-device.
-    int failed_attempts = 0;
+    int failed_attempts = 0;  // chaos denials and device faults.
     bool shed = false;
+    /// The shed was forced by the ladder deadline, not by exhaustion.
+    bool deadline_shed = false;
+    int rungs = 0;  // retry rungs charged (one backoff + re-scatter each).
     uint64_t backoff_ns = 0;
-    /// backoff_ns + modeled retry re-scatter transfer time.
+    /// backoff_ns + modeled retry re-scatter transfer time, added one rung
+    /// at a time.
     double extra_ns = 0.0;
   };
   FailoverPlan PlanFailover(size_t j, size_t num_queries,
@@ -250,12 +254,7 @@ class ShardedPimEngine {
   /// under the device's stats mutex). Summing any integer field over all
   /// shards reproduces the corresponding FleetStats() aggregate exactly.
   struct ShardHealth {
-    uint64_t scatter_messages = 0;
-    uint64_t scatter_bytes = 0;
-    uint64_t gather_messages = 0;
-    uint64_t gather_bytes = 0;
-    uint64_t failovers = 0;
-    uint64_t failed_over_queries = 0;
+    PIMINE_SHARD_LINK_COUNTERS(PIMINE_COUNTER_FIELD)
     /// Derived from this shard's message/byte counters exactly as
     /// FleetStats() derives the fleet figures (same linear formula, so the
     /// per-shard values sum to the aggregates bit-for-bit).
@@ -303,23 +302,61 @@ class ShardedPimEngine {
 
   PimEngine& primary(size_t j) const { return *engines_[j][0]; }
 
-  /// Sizes replica_state_ to the engines_ geometry (all healthy).
-  void InitReplicaState();
+  /// How one attempt of a ladder walk ended.
+  enum class LadderStep {
+    kServed,  // the replica served the op; the walk ends here.
+    kFailed,  // the attempt failed; the walk goes on to the next replica.
+    kAbort,   // a hard (non-fault) error; the walk ends here.
+  };
 
-  /// The failover ladder of one shard's share of one dispatch: walk the
-  /// replicas in deterministic order (primary first), skipping struck-out
-  /// members, charging seeded backoff + operand re-scatter per retry, and
-  /// escalating off-device only when every replica is exhausted.
+  /// Shard j's failover ladder for one dispatch, and the one place it is
+  /// walked: visits the replicas in deterministic order (primary first).
+  /// Every attempt after a failure is preceded by a retry rung — the
+  /// seeded backoff wait plus one operand re-scatter — and the deadline is
+  /// checked BEFORE the wait is charged, so an op that cannot afford the
+  /// next rung sheds at once rather than burning budget it does not have.
+  /// The hooks supply what differs between executing and planning:
+  ///   bool skip(int r) — pass replica r over with no rung and no attempt
+  ///     (a struck-out replica);
+  ///   LadderStep attempt(int r, bool denied) — try replica r. `denied`
+  ///     means the chaos schedule (replica or link down at the dispatch
+  ///     instant) refuses the attempt; the hook then makes no device call
+  ///     and returns kFailed.
+  template <typename Skip, typename Attempt>
+  FailoverPlan WalkLadder(size_t j, size_t num_queries,
+                          const DispatchOptions& dispatch, Skip&& skip,
+                          Attempt&& attempt) const;
+
+  /// The dispatch instant the chaos schedule and the backoff jitter see.
+  uint64_t DispatchNowNs(const DispatchOptions& dispatch) const {
+    return dispatch.now_ns != 0
+               ? dispatch.now_ns
+               : chaos_now_ns_.load(std::memory_order_relaxed);
+  }
+  /// Token feeding the seeded backoff jitter: a pure mix of the dispatch
+  /// instant and the shard, so concurrent ladders of the same dispatch
+  /// draw identical waits regardless of thread interleaving.
+  static uint64_t LadderToken(uint64_t now_ns, size_t j);
+
+  /// Executes one shard's share of one dispatch on the failover ladder:
+  /// WalkLadder with hooks that skip struck-out replicas, run
+  /// DeviceBatch and record strikes, escalating off-device only when every
+  /// replica is exhausted.
   Status DeviceBatchWithFailover(size_t j, const QueryScratch& scratch,
                                  size_t num_queries,
                                  PimEngine::QueryHandleBatch* handle,
                                  const DispatchOptions& dispatch,
                                  bool emit_query_spans) const;
 
-  /// Bytes of one operand re-scatter to a retry replica, computed from the
-  /// fleet geometry (not from live scratch buffers) so PlanFailover and
-  /// the executing ladder charge the identical figure.
-  uint64_t RetryOperandBytes(size_t num_queries) const;
+  /// Device matrices one dispatch runs per shard (2 for the FNN bound).
+  uint64_t DeviceMatrices() const {
+    return mode() == EngineMode::kSegmentFnn ? 2 : 1;
+  }
+  /// Bytes of one operand broadcast of `num_queries` prepared queries —
+  /// the scatter charge and the re-scatter charge of one retry rung alike
+  /// — from the fleet geometry, not from live scratch buffers, so the
+  /// planner and the execution charge the identical figure.
+  uint64_t OperandBytes(size_t num_queries) const;
 
   EngineOptions options_;
   MemoryPlan plan_;
@@ -346,32 +383,17 @@ class ShardedPimEngine {
   mutable std::vector<std::vector<std::unique_ptr<ReplicaState>>>
       replica_state_;
 
-  // Fleet interconnect accounting: integer counters only (mutated under
-  // concurrent RunQueryBatch calls; order-independent), ns derived at
-  // snapshot. Kept PER SHARD (heap-allocated: atomics are immovable) so
-  // the telemetry plane can expose each member's health; FleetStats() sums
-  // them, which reproduces the former fleet-level totals exactly.
+  // One atomic per interconnect and failover counter-table entry: integer
+  // counters only (mutated under concurrent RunQueryBatch calls;
+  // order-independent), ns derived at snapshot. Kept PER SHARD
+  // (heap-allocated: atomics are immovable) so the telemetry plane can
+  // expose each member's health; FleetStats() sums them.
   struct ShardCounters {
-    std::atomic<uint64_t> scatter_messages{0};
-    std::atomic<uint64_t> scatter_bytes{0};
-    std::atomic<uint64_t> gather_messages{0};
-    std::atomic<uint64_t> gather_bytes{0};
-    std::atomic<uint64_t> failovers{0};
-    std::atomic<uint64_t> failed_over_queries{0};
-    // Failover-ladder accounting (FailoverStats fields; same
-    // order-independent integer-counter discipline).
-    std::atomic<uint64_t> fo_injected{0};
-    std::atomic<uint64_t> fo_recovered{0};
-    std::atomic<uint64_t> fo_shed{0};
-    std::atomic<uint64_t> fo_attempts_failed{0};
-    std::atomic<uint64_t> fo_chaos_denied{0};
-    std::atomic<uint64_t> fo_device_faults{0};
-    std::atomic<uint64_t> fo_strikes{0};
-    std::atomic<uint64_t> fo_struck_out{0};
-    std::atomic<uint64_t> fo_slack_fills{0};
-    std::atomic<uint64_t> fo_retry_messages{0};
-    std::atomic<uint64_t> fo_retry_bytes{0};
-    std::atomic<uint64_t> fo_backoff_ns{0};
+#define PIMINE_COUNTER_ATOMIC(field, family, help) \
+  std::atomic<uint64_t> field{0};
+    PIMINE_SHARD_LINK_COUNTERS(PIMINE_COUNTER_ATOMIC)
+    PIMINE_FAILOVER_COUNTERS(PIMINE_COUNTER_ATOMIC)
+#undef PIMINE_COUNTER_ATOMIC
     // Last-dispatch serving state (health reporting, not accounting).
     std::atomic<uint32_t> serving_replica{0};
     std::atomic<bool> slack_mode{false};
@@ -394,6 +416,50 @@ class ShardedPimEngine {
   std::atomic<uint64_t> mut_compactions_{0};
   std::atomic<uint64_t> mut_compacted_rows_{0};
 };
+
+template <typename Skip, typename Attempt>
+ShardedPimEngine::FailoverPlan ShardedPimEngine::WalkLadder(
+    size_t j, size_t num_queries, const DispatchOptions& dispatch,
+    Skip&& skip, Attempt&& attempt) const {
+  const uint64_t now_ns = DispatchNowNs(dispatch);
+  const uint64_t token = LadderToken(now_ns, j);
+  const uint32_t shard = static_cast<uint32_t>(j);
+  const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
+  const double retry_ns = TransferNs(device1().config(), DeviceMatrices(),
+                                     OperandBytes(num_queries));
+  const ShardOptions& o = options_.shard;
+  FailoverPlan plan;
+  for (int r = 0; r < static_cast<int>(engines_[j].size()); ++r) {
+    if (skip(r)) continue;
+    if (plan.failed_attempts > 0) {
+      const uint64_t wait =
+          FailoverBackoffNs(o.backoff_base_ns, o.backoff_jitter_ns,
+                            o.backoff_seed, token, plan.failed_attempts);
+      if (dispatch.deadline_ns != 0 &&
+          plan.backoff_ns + wait > dispatch.deadline_ns) {
+        plan.deadline_shed = true;
+        break;
+      }
+      plan.backoff_ns += wait;
+      plan.extra_ns += static_cast<double>(wait) + retry_ns;
+      ++plan.rungs;
+    }
+    const bool denied =
+        chaos_on && (chaos_->LinkDown(shard, now_ns) ||
+                     chaos_->ReplicaDown(shard, static_cast<uint32_t>(r),
+                                         now_ns));
+    const LadderStep step = attempt(r, denied);
+    if (step == LadderStep::kServed) {
+      plan.serving_replica = r;
+      return plan;
+    }
+    if (step == LadderStep::kAbort) return plan;
+    ++plan.failed_attempts;
+  }
+  plan.serving_replica = -1;
+  plan.shed = true;
+  return plan;
+}
 
 /// Merges per-shard top-k lists into the global top-k. Every input list
 /// must be sorted the way TopK::TakeSorted emits — ascending by

@@ -54,18 +54,9 @@ Status ShardOptions::ValidateReplication() const {
 }
 
 void FailoverStats::Merge(const FailoverStats& other) {
-  injected += other.injected;
-  recovered += other.recovered;
-  shed += other.shed;
-  attempts_failed += other.attempts_failed;
-  chaos_denied += other.chaos_denied;
-  device_faults += other.device_faults;
-  strikes += other.strikes;
-  struck_out += other.struck_out;
-  slack_fills += other.slack_fills;
-  retry_messages += other.retry_messages;
-  retry_bytes += other.retry_bytes;
-  backoff_ns += other.backoff_ns;
+#define PIMINE_MERGE(field, family, help) field += other.field;
+  PIMINE_FAILOVER_COUNTERS(PIMINE_MERGE)
+#undef PIMINE_MERGE
   failover_ns += other.failover_ns;
 }
 
@@ -99,10 +90,13 @@ Result<ShardMap> BuildShardMap(const FloatMatrix& data,
 
   // Unified placement: order the rows by a placement key, split the order
   // into M balanced contiguous runs, then sort each shard's rows ascending
-  // (the shard-local layout every engine programs).
+  // (the shard-local layout every engine programs). One shard holds every
+  // row in ascending order under any placement, so it skips the key.
+  const ShardPlacement placement =
+      m == 1 ? ShardPlacement::kContiguous : options.placement;
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  switch (options.placement) {
+  switch (placement) {
     case ShardPlacement::kContiguous:
       break;  // identity key.
     case ShardPlacement::kHash:
@@ -141,7 +135,9 @@ Result<ShardMap> BuildShardMap(const FloatMatrix& data,
     std::vector<uint32_t>& rows = map.rows_per_shard[j];
     rows.assign(order.begin() + pos, order.begin() + pos + count);
     pos += count;
-    std::sort(rows.begin(), rows.end());
+    if (placement != ShardPlacement::kContiguous) {
+      std::sort(rows.begin(), rows.end());  // contiguous runs already are.
+    }
     for (size_t local = 0; local < rows.size(); ++local) {
       map.shard_of[rows[local]] = static_cast<uint32_t>(j);
       map.local_of[rows[local]] = static_cast<uint32_t>(local);

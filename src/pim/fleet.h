@@ -9,6 +9,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "data/matrix.h"
+#include "pim/pim_config.h"
 
 namespace pimine {
 
@@ -74,38 +75,78 @@ struct ShardOptions {
   Status ValidateReplication() const;
 };
 
+/// The replica-failover counters, one entry each:
+/// X(field, Prometheus family, HELP text). This list is the one definition
+/// of every counter: the FailoverStats fields, ShardedPimEngine's per-shard
+/// atomics, their reset, load and merge, and the labelled
+/// pimine_failover_*{shard="j"} export are all generated from it.
+#define PIMINE_FAILOVER_COUNTERS(X)                                         \
+  X(injected, "pimine_failover_injected_total",                             \
+    "Shard-dispatch ops that lost at least one replica attempt.")           \
+  X(recovered, "pimine_failover_recovered_total",                           \
+    "Injected ops completed on a later healthy replica.")                   \
+  X(shed, "pimine_failover_shed_total",                                     \
+    "Injected ops escalated off-device (host-exact or bound-slack).")       \
+  X(attempts_failed, "pimine_failover_attempts_failed_total",               \
+    "Individual replica attempts that failed on this shard.")               \
+  X(chaos_denied, "pimine_failover_chaos_denied_total",                     \
+    "Replica attempts denied by the chaos schedule.")                       \
+  X(device_faults, "pimine_failover_device_faults_total",                   \
+    "Replica attempts lost to an unrecoverable device fault.")              \
+  X(strikes, "pimine_failover_strikes_total",                               \
+    "Strikes recorded against this shard's replicas.")                      \
+  X(struck_out, "pimine_failover_struck_out_total",                         \
+    "Replicas struck out of this shard's ladder.")                          \
+  X(slack_fills, "pimine_failover_slack_fills_total",                       \
+    "Shed ops served as bound-slack fills on this shard.")                  \
+  X(retry_messages, "pimine_failover_retry_messages_total",                 \
+    "Operand re-scatter messages to retry replicas.")                       \
+  X(retry_bytes, "pimine_failover_retry_bytes_total",                       \
+    "Operand re-scatter bytes to retry replicas.")                          \
+  X(backoff_ns, "pimine_failover_backoff_ns_total",                         \
+    "Seeded backoff waited between replica attempts.")
+
+/// The per-shard interconnect counters, in the same X(field, family, HELP)
+/// form: the fields of ShardHealth and FleetRunStats, the per-shard
+/// atomics, their reset and fleet sum, and the labelled
+/// pimine_fleet_shard_*{shard="j"} export all come from this list.
+#define PIMINE_SHARD_LINK_COUNTERS(X)                                       \
+  X(scatter_messages, "pimine_fleet_shard_scatter_messages_total",          \
+    "Operand broadcast messages received by this shard.")                   \
+  X(scatter_bytes, "pimine_fleet_shard_scatter_bytes_total",                \
+    "Operand bytes received by this shard.")                                \
+  X(gather_messages, "pimine_fleet_shard_gather_messages_total",            \
+    "Result messages returned by this shard.")                              \
+  X(gather_bytes, "pimine_fleet_shard_gather_bytes_total",                  \
+    "Result bytes returned by this shard.")                                 \
+  X(failovers, "pimine_fleet_shard_failovers_total",                        \
+    "Off-device escalations after the replica ladder was exhausted.")       \
+  X(failed_over_queries, "pimine_fleet_shard_failed_over_queries_total",    \
+    "Queries served off-device on this shard.")
+
+/// Declares one uint64_t field per table entry.
+#define PIMINE_COUNTER_FIELD(field, family, help) uint64_t field = 0;
+
+/// Modeled interconnect time of `messages` transfers carrying `bytes` in
+/// total: PimTimingModel::TransferLatencyNs summed per message, which is
+/// linear, so the figure is the same for every charge interleaving.
+inline double TransferNs(const PimConfig& config, uint64_t messages,
+                         uint64_t bytes) {
+  return static_cast<double>(messages) * config.interconnect_hop_ns +
+         static_cast<double>(bytes) / config.interconnect_gbps;
+}
+
 /// Replica-failover accounting of one fleet run. The locked invariant:
 /// injected == recovered + shed — every op (one shard's share of one
 /// dispatch) that lost its primary device path is either served by another
 /// replica or shed off-device (host-exact recompute / bound-slack fill);
-/// nothing is dropped and nothing is double-counted. Integer counters are
-/// mutated relaxed under concurrent dispatches; failover_ns is derived
-/// from them at snapshot time, so it is identical for every interleaving.
+/// nothing is dropped and nothing is double-counted. attempts_failed ==
+/// chaos_denied + device_faults, and strikes are recorded only with
+/// replicas > 1. Integer counters are mutated relaxed under concurrent
+/// dispatches; failover_ns is derived from them at snapshot time, so it is
+/// identical for every interleaving.
 struct FailoverStats {
-  /// Ops that lost at least one device attempt (or found every replica
-  /// already struck out).
-  uint64_t injected = 0;
-  /// ...of which served exactly by a later healthy replica.
-  uint64_t recovered = 0;
-  /// ...of which escalated off-device.
-  uint64_t shed = 0;
-  /// Individual failed replica attempts (chaos_denied + device_faults).
-  uint64_t attempts_failed = 0;
-  /// Attempts denied by the chaos schedule (replica or link down).
-  uint64_t chaos_denied = 0;
-  /// Attempts that returned DeviceFault from the replica's devices.
-  uint64_t device_faults = 0;
-  /// Strike marks recorded against replicas (replicas > 1 only).
-  uint64_t strikes = 0;
-  /// Replicas marked unhealthy after max_strikes consecutive failures.
-  uint64_t struck_out = 0;
-  /// Sheds served as bound-slack fills instead of host recompute.
-  uint64_t slack_fills = 0;
-  /// Operand re-scatter traffic to retry replicas.
-  uint64_t retry_messages = 0;
-  uint64_t retry_bytes = 0;
-  /// Summed seeded-jitter backoff waits (integer ns).
-  uint64_t backoff_ns = 0;
+  PIMINE_FAILOVER_COUNTERS(PIMINE_COUNTER_FIELD)
   /// Derived at snapshot: backoff + modeled retry re-scatter time.
   double failover_ns = 0.0;
 
@@ -144,27 +185,22 @@ Result<ShardMap> BuildShardMap(const FloatMatrix& data,
 struct FleetRunStats {
   int shards = 1;
   ShardPlacement placement = ShardPlacement::kContiguous;
-  /// Query broadcasts: one message per shard per device batch, carrying the
-  /// batch's quantized operands.
-  uint64_t scatter_messages = 0;
-  uint64_t scatter_bytes = 0;
-  /// Result gathers: one message per shard per device batch, carrying the
-  /// shard's dot-product results.
-  uint64_t gather_messages = 0;
-  uint64_t gather_bytes = 0;
+  /// Sums over shards of the PIMINE_SHARD_LINK_COUNTERS: query broadcasts
+  /// (one message per shard per device matrix, carrying the batch's
+  /// quantized operands), result gathers (one per shard per device matrix,
+  /// carrying the shard's dot products), and host-exact escalations after
+  /// the replica ladder was exhausted.
+  PIMINE_SHARD_LINK_COUNTERS(PIMINE_COUNTER_FIELD)
   /// Tree reduction of k-means centroid partial sums: critical-path
   /// messages (one per tree level) and their payloads.
   uint64_t reduce_messages = 0;
   uint64_t reduce_bytes = 0;
-  /// Shards escalated to host-exact recompute after a DeviceFault.
-  uint64_t failovers = 0;
-  uint64_t failed_over_queries = 0;
   /// Replica-failover ladder accounting (all-zero when no fault fired).
   FailoverStats failover;
   /// Shards currently off their primary replica or in bound-slack mode.
   int degraded_shards = 0;
-  /// Modeled interconnect time (PimTimingModel::TransferLatencyNs applied
-  /// to the counters above; see DESIGN.md section 9).
+  /// Modeled interconnect time (TransferNs of the counters above; see
+  /// DESIGN.md section 9).
   double scatter_ns = 0.0;
   double gather_ns = 0.0;
   double reduce_ns = 0.0;

@@ -461,6 +461,93 @@ TEST(FailoverLadderTest, ReplicasAreBitTransparentWithoutFaults) {
   EXPECT_EQ(fleet->OfflineNs(), f.clean->OfflineNs());
 }
 
+// The serve virtual clock prices each dispatch with PlanFailover while the
+// execution pass walks the ladder for real: with strike state cleared
+// before every dispatch, the plan must name the replica that actually
+// served, the failed attempts, the backoff and the shed decision — for
+// recoveries, full sheds, link outages and deadline-priced sheds alike.
+TEST(FailoverLadderTest, PlanMatchesExecutedLadder) {
+  const FailoverFixture f;
+  const std::vector<ChaosEvent> events = {
+      Death(0, 0, 100), Death(1, 0, 200), Death(1, 1, 300),
+      Death(2, 1, 50),
+      ChaosEvent{400, 600, ChaosEventKind::kLinkFault, 2, 0}};
+  bool any_recovered = false;
+  bool any_shed = false;
+  bool any_deadline_shed = false;
+  for (int replicas : {2, 3}) {
+    auto built = f.BuildFleet(replicas);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const auto fleet = std::move(built).value();
+    const auto schedule = ChaosSchedule::FromEvents(
+        events, 3, static_cast<uint32_t>(replicas));
+    fleet->set_chaos(&schedule);
+
+    ShardedPimEngine::QueryScratch scratch;
+    ShardedPimEngine::QueryHandleBatch handle;
+    for (uint64_t now : {10ull, 150ull, 250ull, 350ull, 500ull, 700ull}) {
+      for (uint64_t deadline : {0ull, 4500ull}) {
+        const std::string label = "replicas=" + std::to_string(replicas) +
+                                  " now=" + std::to_string(now) +
+                                  " deadline=" + std::to_string(deadline);
+        ShardedPimEngine::DispatchOptions dispatch;
+        dispatch.now_ns = now;
+        dispatch.deadline_ns = deadline;
+        fleet->ResetReplicaHealth();
+        fleet->ResetOnlineStats();
+        std::vector<ShardedPimEngine::FailoverPlan> plans;
+        for (size_t j = 0; j < fleet->shards(); ++j) {
+          plans.push_back(
+              fleet->PlanFailover(j, f.queries.rows(), dispatch));
+        }
+        ASSERT_TRUE(fleet
+                        ->RunQueryBatch(f.Span(), f.queries.rows(), &scratch,
+                                        &handle, dispatch)
+                        .ok())
+            << label;
+        f.ExpectBoundsIdentical(*fleet, handle, label);
+
+        uint64_t attempts_failed = 0, backoff_ns = 0, shed = 0;
+        for (size_t j = 0; j < fleet->shards(); ++j) {
+          const ShardedPimEngine::FailoverPlan& plan = plans[j];
+          const FailoverStats fo = fleet->ShardHealthSnapshot(j).failover;
+          const std::string at = label + " shard=" + std::to_string(j);
+          EXPECT_EQ(fleet->serving_replica(j),
+                    plan.shed ? replicas : plan.serving_replica)
+              << at;
+          EXPECT_EQ(plan.serving_replica < 0, plan.shed) << at;
+          EXPECT_EQ(fo.attempts_failed,
+                    static_cast<uint64_t>(plan.failed_attempts))
+              << at;
+          EXPECT_EQ(fo.backoff_ns, plan.backoff_ns) << at;
+          EXPECT_EQ(fo.shed, plan.shed ? 1u : 0u) << at;
+          EXPECT_NEAR(fo.failover_ns, plan.extra_ns,
+                      1e-9 * (1.0 + plan.extra_ns))
+              << at;
+          attempts_failed += static_cast<uint64_t>(plan.failed_attempts);
+          backoff_ns += plan.backoff_ns;
+          shed += plan.shed ? 1 : 0;
+          any_recovered =
+              any_recovered || (plan.failed_attempts > 0 && !plan.shed);
+          any_shed = any_shed || plan.shed;
+          any_deadline_shed = any_deadline_shed ||
+                              (plan.shed && plan.failed_attempts < replicas);
+        }
+        const FailoverStats total = fleet->FleetStats().failover;
+        EXPECT_EQ(total.attempts_failed, attempts_failed) << label;
+        EXPECT_EQ(total.backoff_ns, backoff_ns) << label;
+        EXPECT_EQ(total.shed, shed) << label;
+        EXPECT_TRUE(total.Balanced()) << label;
+      }
+    }
+  }
+  // The schedule exercises every rung: recovery on a later replica, a
+  // full shed, and a shed priced out by the ladder deadline.
+  EXPECT_TRUE(any_recovered);
+  EXPECT_TRUE(any_shed);
+  EXPECT_TRUE(any_deadline_shed);
+}
+
 // --- k-means under chaos ------------------------------------------------
 
 // A primary death during the assign/update iteration: the PIM lower bounds

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <utility>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -184,6 +185,97 @@ TEST(ShardedEngineTest, RejectsInvalidShardCounts) {
   auto built = ShardedPimEngine::Build(data, Distance::kEuclidean, options);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The fleet resolves its geometry with the single-device selection: for
+// every distance, bound and forced segment count, on an array that holds
+// the full dataset and on one that does not, a fleet of one or three
+// shards reports the mode, segment geometry and memory plan of a plain
+// PimEngine::Build — and fails with the same status code and message
+// wherever that build fails.
+TEST(ShardedEngineTest, BuildResolvesTheSingleDeviceGeometry) {
+  const FloatMatrix data = testing_util::RandomUnitMatrix(256, 128, 13);
+  FloatMatrix unnormalized = data;
+  unnormalized(5, 7) = 1.5f;
+  EngineOptions roomy;
+  // Full dimensionality does not fit, and the full dataset's Theorem 4
+  // segment count falls below what one third of it would get: a shard
+  // that resolved its own geometry would pick a different bound.
+  EngineOptions tight;
+  tight.pim_config.num_crossbars = 2;
+
+  struct Case {
+    std::string label;
+    const FloatMatrix* data;
+    Distance distance;
+    EngineOptions options;
+  };
+  std::vector<Case> cases;
+  const std::pair<std::string, Distance> distances[] = {
+      {"ED", Distance::kEuclidean},
+      {"CS", Distance::kCosine},
+      {"PCC", Distance::kPearson}};
+  const std::pair<std::string, EngineOptions::Bound> bounds[] = {
+      {"auto", EngineOptions::Bound::kAuto},
+      {"direct", EngineOptions::Bound::kDirectEd},
+      {"fnn", EngineOptions::Bound::kSegmentFnn},
+      {"sm", EngineOptions::Bound::kSegmentSm}};
+  for (const auto& [dname, distance] : distances) {
+    for (const auto& [bname, bound] : bounds) {
+      for (int64_t force : {0, 8, 100000}) {
+        for (bool small : {false, true}) {
+          EngineOptions options = small ? tight : roomy;
+          options.bound = bound;
+          options.force_segments = force;
+          cases.push_back({dname + "/" + bname + "/force=" +
+                               std::to_string(force) +
+                               (small ? "/tight" : "/roomy"),
+                           &data, distance, options});
+        }
+      }
+    }
+  }
+  cases.push_back({"hamming", &data, Distance::kHamming, roomy});
+  cases.push_back({"unnormalized", &unnormalized, Distance::kEuclidean, roomy});
+
+  std::set<std::string> errors;
+  for (int shards : {1, 3}) {
+    for (const Case& c : cases) {
+      const std::string label =
+          c.label + " shards=" + std::to_string(shards);
+      EngineOptions fleet_options = c.options;
+      fleet_options.shard.shards = shards;
+      auto single = PimEngine::Build(*c.data, c.distance, c.options);
+      auto fleet = ShardedPimEngine::Build(*c.data, c.distance, fleet_options);
+      ASSERT_EQ(fleet.ok(), single.ok())
+          << label << ": " << fleet.status().ToString() << " vs "
+          << single.status().ToString();
+      if (!single.ok()) {
+        EXPECT_EQ(fleet.status().code(), single.status().code()) << label;
+        EXPECT_EQ(fleet.status().message(), single.status().message())
+            << label;
+        errors.insert(single.status().message());
+        continue;
+      }
+      const PimEngine& e = **single;
+      const ShardedPimEngine& f = **fleet;
+      EXPECT_EQ(f.mode(), e.mode()) << label;
+      EXPECT_EQ(f.num_segments(), e.num_segments()) << label;
+      EXPECT_EQ(f.segment_length(), e.segment_length()) << label;
+      EXPECT_EQ(f.plan().s, e.plan().s) << label;
+      EXPECT_EQ(f.plan().copies, e.plan().copies) << label;
+      EXPECT_EQ(f.plan().data_crossbars, e.plan().data_crossbars) << label;
+      EXPECT_EQ(f.plan().gather_crossbars, e.plan().gather_crossbars)
+          << label;
+      EXPECT_EQ(f.plan().compressed, e.plan().compressed) << label;
+    }
+  }
+  // Every error class is reached: CS/PCC with a non-auto bound, CS/PCC and
+  // direct-ED that do not fit, forced segments above the Theorem 4
+  // maximum, Hamming, unnormalized data.
+  std::string seen;
+  for (const std::string& e : errors) seen += "\n  " + e;
+  EXPECT_EQ(errors.size(), 6u) << seen;
 }
 
 // MergeShardTopK on disjoint per-shard k-bests equals a single TopK over

@@ -581,5 +581,119 @@ TEST(FleetHealthTest, PerShardTotalsEqualFleetAggregates) {
             std::string::npos);
 }
 
+/// Sample lines of `family` in a Prometheus document (no HELP/TYPE).
+std::vector<std::string> SampleLines(const std::string& text,
+                                     const std::string& family) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(family + "{", 0) == 0 || line.rfind(family + " ", 0) == 0) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+size_t CountLines(const std::string& text, const std::string& line) {
+  size_t count = 0;
+  for (size_t pos = text.find(line + "\n"); pos != std::string::npos;
+       pos = text.find(line + "\n", pos + 1)) {
+    if (pos == 0 || text[pos - 1] == '\n') ++count;
+  }
+  return count;
+}
+
+// Driven by the counter tables themselves: for every entry of
+// PIMINE_SHARD_LINK_COUNTERS and PIMINE_FAILOVER_COUNTERS, after a chaos
+// replay on a 4-shard x 2-replica fleet, the per-shard ShardHealthSnapshot
+// values sum to the FleetStats() aggregate, and the export carries exactly
+// one HELP/TYPE pair and one {shard="j"} sample per shard, valued as the
+// snapshot.
+TEST(FleetHealthTest, CounterTableEntriesSumAndExportPerShard) {
+  const FloatMatrix data = RandomUnitMatrix(200, 24, 3);
+  const FloatMatrix queries = RandomUnitMatrix(32, 24, 5);
+  EngineOptions engine_options;
+  engine_options.pim_config.num_crossbars = 4096;
+  engine_options.shard.shards = 4;
+  engine_options.shard.replicas = 2;
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = 8;
+  serve_options.k = 5;
+  serve_options.exec.device_batch = 4;
+  serve_options.chaos.device_deaths = 4;
+  serve_options.chaos.link_faults = 2;
+  serve_options.chaos.horizon_ns = 20'000;
+  serve_options.chaos.seed = 4242;
+  auto server = serve::PimServer::Build(data, Distance::kEuclidean,
+                                        engine_options, serve_options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  serve::WorkloadSpec spec;
+  spec.num_requests = 128;
+  spec.offered_qps = 2e6;
+  spec.tenant_share = {1.0};
+  spec.num_query_rows = 32;
+  spec.seed = 17;
+  auto trace = serve::GeneratePoissonTrace(spec);
+  ASSERT_TRUE(trace.ok());
+  auto output = (*server)->Replay(*trace, queries);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+
+  const ShardedPimEngine& fleet = (*server)->engine();
+  const FleetRunStats aggregate = fleet.FleetStats();
+  // The replay disturbed the ladder: recoveries, sheds and retry rungs.
+  ASSERT_GT(aggregate.failover.recovered, 0u) << aggregate.ToString();
+  ASSERT_GT(aggregate.failover.shed, 0u) << aggregate.ToString();
+  ASSERT_GT(aggregate.failover.retry_bytes, 0u) << aggregate.ToString();
+  ASSERT_GT(aggregate.failovers, 0u) << aggregate.ToString();
+
+  std::vector<ShardedPimEngine::ShardHealth> health;
+  for (size_t j = 0; j < fleet.shards(); ++j) {
+    health.push_back(fleet.ShardHealthSnapshot(j));
+  }
+  MetricsRegistry registry;
+  fleet.ExportMetrics(&registry);
+  const std::string text = registry.ToPrometheus();
+  CheckStrictExposition(text);
+
+  const auto check_entry = [&](const std::string& field,
+                               const std::string& family,
+                               const std::string& help, uint64_t total,
+                               uint64_t (*of)(
+                                   const ShardedPimEngine::ShardHealth&)) {
+    SCOPED_TRACE(field);
+    uint64_t sum = 0;
+    for (const ShardedPimEngine::ShardHealth& h : health) sum += of(h);
+    EXPECT_EQ(sum, total);
+    EXPECT_EQ(CountLines(text, "# TYPE " + family + " counter"), 1u);
+    EXPECT_EQ(text.find("# HELP " + family + " "),
+              text.rfind("# HELP " + family + " "));
+    const std::vector<std::string> samples = SampleLines(text, family);
+    EXPECT_EQ(samples.size(), fleet.shards());
+    for (size_t j = 0; j < fleet.shards(); ++j) {
+      EXPECT_EQ(CountLines(text, family + "{shard=\"" + std::to_string(j) +
+                                     "\"} " + std::to_string(of(health[j]))),
+                1u)
+          << "shard " << j;
+    }
+    EXPECT_EQ(CountLines(text, "# HELP " + family + " " + help), 1u);
+  };
+#define PIMINE_CHECK_ENTRY(field, family, help)                      \
+  check_entry(#field, family, help, aggregate.field,                  \
+              [](const ShardedPimEngine::ShardHealth& h) -> uint64_t { \
+                return h.field;                                        \
+              });
+  PIMINE_SHARD_LINK_COUNTERS(PIMINE_CHECK_ENTRY)
+#undef PIMINE_CHECK_ENTRY
+#define PIMINE_CHECK_ENTRY(field, family, help)                      \
+  check_entry(#field, family, help, aggregate.failover.field,         \
+              [](const ShardedPimEngine::ShardHealth& h) -> uint64_t { \
+                return h.failover.field;                               \
+              });
+  PIMINE_FAILOVER_COUNTERS(PIMINE_CHECK_ENTRY)
+#undef PIMINE_CHECK_ENTRY
+}
+
 }  // namespace
 }  // namespace pimine

@@ -22,6 +22,14 @@ slo block) instead of per-entry.
       when the headers disagree (different workload), 0 otherwise: the diff
       is informational, thresholds are the caller's business.
 
+  bench_diff.py --exact old.json new.json
+      The gate for modeled fields. Both documents must share a known
+      schema; every numeric or boolean field of the header, of every sweep
+      entry and, when both documents carry one, of every chaos_sweep entry
+      must be equal, except the schema's wall fields (host-timed, so
+      noisy). Entries are matched by their key fields; an entry present in
+      one document only is a change. Exits 1 on any change, 0 otherwise.
+
 stdlib only; no third-party imports.
 """
 
@@ -42,6 +50,8 @@ SCHEMAS = {
             "identical_to_single_device",
         ],
         "header": ["n", "d", "total_queries"],
+        # Host-timed fields: reported by the diff, skipped by --exact.
+        "wall": ["wall_ms", "queries_per_s"],
     },
     "pimine.bench.serve.v1": {
         "keys": ["load_factor"],
@@ -52,6 +62,7 @@ SCHEMAS = {
             "wall_ms",
         ],
         "header": ["n", "d", "requests", "max_batch", "device_batch"],
+        "wall": ["wall_ms"],
         # Optional replica-failover sweep (bench_serve --chaos). Entries are
         # matched by the death count; every row must carry the balance
         # counters and must actually balance (injected == recovered + shed).
@@ -72,6 +83,7 @@ SCHEMAS = {
             "identical_to_fresh_program", "wall_ms",
         ],
         "header": ["n", "d", "base_rows", "stream_rows", "k", "queries"],
+        "wall": ["wall_ms"],
     },
 }
 
@@ -255,19 +267,84 @@ def diff_entries(old_sweep, new_sweep, keys, old_path):
             print(f"  {marker}{field}: {old_value} -> {new_value}{rel}")
 
 
+def is_exact_field(value):
+    return isinstance(value, (int, float, bool))
+
+
+def exact_changes(label, old, new, wall):
+    """Non-wall numeric/boolean fields of two flat objects that differ."""
+    changes = []
+    for field in sorted(set(old) | set(new)):
+        if field in wall:
+            continue
+        old_value, new_value = old.get(field), new.get(field)
+        if not (is_exact_field(old_value) or is_exact_field(new_value)):
+            continue
+        # True == 1 in Python, so a type change is a change too.
+        if field not in old or field not in new or \
+                isinstance(old_value, bool) != isinstance(new_value, bool) or \
+                old_value != new_value:
+            changes.append(f"{label}: {field}: {old_value} -> {new_value}")
+    return changes
+
+
+def exact(old_path, new_path):
+    old, new = load(old_path), load(new_path)
+    if TIMESERIES_SCHEMA in (old.get("schema"), new.get("schema")):
+        diff(old_path, new_path)  # exits 1 unless identical.
+        return
+    schema = schema_of(old)
+    if schema is None or schema_of(new) is not schema:
+        sys.exit(f"error: --exact needs two documents of one known schema "
+                 f"({old.get('schema')} vs {new.get('schema')})")
+    wall = set(schema["wall"])
+    changes = exact_changes("header", old, new, wall)
+    compared = ["header"]
+    for section, keys in (("sweep", schema["keys"]),
+                          ("chaos_sweep", schema.get("chaos_keys", []))):
+        old_entries, new_entries = old.get(section), new.get(section)
+        if not old_entries or not new_entries:
+            if old_entries or new_entries:
+                which = old_path if old_entries else new_path
+                print(f"{section} only in {which}: not compared")
+            continue
+        compared.append(f"{len(old_entries)} {section} entries")
+        old_by_key = {entry_key(e, keys): e for e in old_entries}
+        new_by_key = {entry_key(e, keys): e for e in new_entries}
+        for key in sorted(set(old_by_key) | set(new_by_key), key=str):
+            label = section + "[" + ", ".join(
+                f"{k}={v}" for k, v in zip(keys, key)) + "]"
+            if key not in old_by_key or key not in new_by_key:
+                which = old_path if key in old_by_key else new_path
+                changes.append(f"{label}: only in {which}")
+                continue
+            changes.extend(exact_changes(label, old_by_key[key],
+                                         new_by_key[key], wall))
+    if changes:
+        for change in changes:
+            print(f"changed {change}")
+        sys.exit(f"error: {len(changes)} modeled field(s) of {new_path} "
+                 f"differ from {old_path}")
+    print(f"{new_path}: every non-wall field equals {old_path} "
+          f"({', '.join(compared)}; wall fields skipped: "
+          f"{', '.join(sorted(wall))})")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--validate", metavar="FILE",
                         help="schema-check one bench JSON and exit")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any change to a non-wall field")
     parser.add_argument("files", nargs="*", metavar="OLD NEW",
                         help="two bench JSONs to diff")
     args = parser.parse_args()
     if args.validate:
-        if args.files:
+        if args.files or args.exact:
             parser.error("--validate takes exactly one file")
         validate(args.validate)
     elif len(args.files) == 2:
-        diff(args.files[0], args.files[1])
+        (exact if args.exact else diff)(args.files[0], args.files[1])
     else:
         parser.error("pass --validate FILE or exactly two files to diff")
 
