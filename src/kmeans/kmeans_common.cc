@@ -14,31 +14,27 @@
 
 namespace pimine {
 
-size_t RunAssignWithPolicy(
-    const ExecPolicy& policy, size_t num_points, RunStats* stats,
-    const std::function<void(size_t, size_t, AssignSlot&)>& assign_point) {
-  const size_t chunk = std::max<size_t>(1, policy.block_size);
-  std::vector<AssignSlot> slots(NumSlots(policy, num_points, chunk));
-  ParallelChunks(policy, num_points, chunk,
-                 [&](size_t begin, size_t end, size_t slot_index) {
-                   // Opt-in physical span: this worker's chunk of the pass.
-                   obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
-                                        static_cast<int64_t>(begin),
-                                        static_cast<int64_t>(end));
-                   AssignSlot& slot = slots[slot_index];
-                   for (size_t i = begin; i < end; ++i) {
-                     assign_point(i, slot_index, slot);
-                   }
-                 });
-  size_t changed = 0;
-  for (const AssignSlot& slot : slots) {
-    stats->exact_count += slot.exact_count;
-    stats->bound_count += slot.bound_count;
-    stats->profile.Merge(slot.profile);
-    changed += slot.changed;
+Status ValidateKmeansInput(const FloatMatrix& data,
+                           const KmeansOptions& options) {
+  if (data.empty()) return Status::InvalidArgument("empty dataset");
+  if (options.k <= 0 || static_cast<size_t>(options.k) > data.rows()) {
+    return Status::InvalidArgument("k out of range");
   }
-  obs::AddCounter("pimine_kmeans_reassignments_total", changed);
-  return changed;
+  if (options.max_iterations <= 0) {
+    return Status::InvalidArgument("max_iterations must be positive");
+  }
+  if (options.filter != nullptr && !options.use_pim) {
+    return Status::InvalidArgument(
+        "a borrowed PIM assign filter requires use_pim");
+  }
+  return Status::OK();
+}
+
+double KmeansExactDistance(std::span<const float> a,
+                           std::span<const float> b) {
+  const double d2 = SquaredEuclidean(a, b);
+  traffic::CountLongOps(1);
+  return std::sqrt(d2);
 }
 
 void PublishKmeansRunMetrics(const RunStats& stats) {
@@ -90,46 +86,34 @@ FloatMatrix UpdateCenters(const FloatMatrix& data,
   const size_t d = data.cols();
   PIMINE_CHECK(assignments.size() == data.rows());
 
+  // Each shard accumulates a partial over its own rows, then the partials
+  // merge pairwise. ExactSum addition is exact integer addition, so the
+  // tree result is bit-identical for every shard count; only the fleet
+  // reduce accounting below varies.
   const size_t shards = filter != nullptr ? filter->shards() : 1;
   std::vector<int64_t> counts(k, 0);
-  std::vector<ExactSum> sums;
-  if (shards <= 1) {
-    // Flat single-device sum.
-    sums.assign(k * d, ExactSum());
-    for (size_t i = 0; i < data.rows(); ++i) {
-      const int32_t c = assignments[i];
-      PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
-      const auto row = data.row(i);
-      ExactSum* sum = sums.data() + static_cast<size_t>(c) * d;
-      for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
-      ++counts[c];
+  std::vector<std::vector<ExactSum>> partials(shards);
+  for (std::vector<ExactSum>& partial : partials) partial.resize(k * d);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    const int32_t c = assignments[i];
+    PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
+    const auto row = data.row(i);
+    // ShardOf translates the dense live index to the physical fleet row,
+    // so partials group by where the row actually lives post-mutation.
+    const size_t shard = filter != nullptr ? filter->ShardOf(i) : 0;
+    ExactSum* sum = partials[shard].data() + static_cast<size_t>(c) * d;
+    for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
+    ++counts[c];
+  }
+  for (size_t stride = 1; stride < shards; stride *= 2) {
+    for (size_t a = 0; a + stride < shards; a += 2 * stride) {
+      std::vector<ExactSum>& into = partials[a];
+      const std::vector<ExactSum>& from = partials[a + stride];
+      for (size_t j = 0; j < k * d; ++j) into[j].Merge(from[j]);
     }
-  } else {
-    // Sharded: each shard accumulates a partial over its own rows, then
-    // the partials merge pairwise. ExactSum addition is exact integer
-    // addition, so the tree result equals the flat sum bit-for-bit for
-    // every shard count; only the fleet reduce accounting below varies.
-    std::vector<std::vector<ExactSum>> partials(
-        shards, std::vector<ExactSum>(k * d));
-    for (size_t i = 0; i < data.rows(); ++i) {
-      const int32_t c = assignments[i];
-      PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
-      const auto row = data.row(i);
-      // ShardOf translates the dense live index to the physical fleet row,
-      // so partials group by where the row actually lives post-mutation.
-      ExactSum* sum =
-          partials[filter->ShardOf(i)].data() + static_cast<size_t>(c) * d;
-      for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
-      ++counts[c];
-    }
-    for (size_t stride = 1; stride < shards; stride *= 2) {
-      for (size_t a = 0; a + stride < shards; a += 2 * stride) {
-        std::vector<ExactSum>& into = partials[a];
-        const std::vector<ExactSum>& from = partials[a + stride];
-        for (size_t j = 0; j < k * d; ++j) into[j].Merge(from[j]);
-      }
-    }
-    sums = std::move(partials[0]);
+  }
+  const std::vector<ExactSum>& sums = partials[0];
+  if (filter != nullptr) {
     filter->ChargeTreeReduction(k * d * sizeof(ExactSum) +
                                 k * sizeof(int64_t));
   }

@@ -1,9 +1,10 @@
 #ifndef PIMINE_KMEANS_KMEANS_COMMON_H_
 #define PIMINE_KMEANS_KMEANS_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -13,8 +14,11 @@
 #include "core/mutable_dataset.h"
 #include "core/sharded_engine.h"
 #include "data/matrix.h"
+#include "obs/obs.h"
 #include "profiling/run_stats.h"
+#include "sim/traffic.h"
 #include "util/parallel.h"
+#include "util/timer.h"
 
 namespace pimine {
 
@@ -71,28 +75,52 @@ class KmeansAlgorithm {
                                    const KmeansOptions& options) = 0;
 };
 
+/// Validates data/options combinations shared by all algorithms. A
+/// borrowed options.filter requires options.use_pim.
+Status ValidateKmeansInput(const FloatMatrix& data,
+                           const KmeansOptions& options);
+
+/// Exact real (non-squared) Euclidean distance with traffic accounting.
+double KmeansExactDistance(std::span<const float> a, std::span<const float> b);
+
 /// Per-worker accumulation slot for a parallel assign step: workers charge
-/// their counters, reassignment tally and per-function wall time here and
-/// the harness folds the slots into RunStats in slot order once the pass
-/// drains.
+/// their counters and per-function wall time here and the harness folds
+/// the slots into RunStats in slot order once the pass drains.
 struct AssignSlot {
   uint64_t exact_count = 0;
   uint64_t bound_count = 0;
-  uint64_t changed = 0;
   FunctionProfiler profile;
 };
 
 /// Runs `assign_point(i, slot_index, slot)` for every point in [0,
 /// num_points) in chunks of `policy.block_size` across the policy's workers
-/// (inline when serial). Slot stats are merged into `stats` in slot order;
-/// returns the total number of reassignments the workers tallied.
-size_t RunAssignWithPolicy(
-    const ExecPolicy& policy, size_t num_points, RunStats* stats,
-    const std::function<void(size_t, size_t, AssignSlot&)>& assign_point);
+/// (inline when serial). Slot stats are merged into `stats` in slot order.
+template <typename AssignPoint>
+void RunAssignWithPolicy(const ExecPolicy& policy, size_t num_points,
+                         RunStats* stats, AssignPoint&& assign_point) {
+  const size_t chunk = std::max<size_t>(1, policy.block_size);
+  std::vector<AssignSlot> slots(NumSlots(policy, num_points, chunk));
+  ParallelChunks(policy, num_points, chunk,
+                 [&](size_t begin, size_t end, size_t slot_index) {
+                   // Opt-in physical span: this worker's chunk of the pass.
+                   obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
+                                        static_cast<int64_t>(begin),
+                                        static_cast<int64_t>(end));
+                   AssignSlot& slot = slots[slot_index];
+                   for (size_t i = begin; i < end; ++i) {
+                     assign_point(i, slot_index, slot);
+                   }
+                 });
+  for (const AssignSlot& slot : slots) {
+    stats->exact_count += slot.exact_count;
+    stats->bound_count += slot.bound_count;
+    stats->profile.Merge(slot.profile);
+  }
+}
 
 /// Publishes a finished run's pruning counters and per-iteration latency
 /// histogram (stats.latency_hist) to the metrics registry. No-op while
-/// observability is disabled. Call once at the end of Run(), after the
+/// observability is disabled. Call once at the end of a run, after the
 /// RunStats fields are final.
 void PublishKmeansRunMetrics(const RunStats& stats);
 
@@ -106,11 +134,11 @@ FloatMatrix InitCenters(const FloatMatrix& data, int k, uint64_t seed);
 ///
 /// Coordinate sums accumulate in ExactSum fixed-point registers, so the
 /// result is a pure function of the multiset of assigned rows — grouping
-/// cannot change it. When `filter` runs a sharded fleet (shards > 1) the
-/// sums are formed as per-shard partials merged by a pairwise tree, which
-/// by that exactness is bit-identical to the flat single-device sum; the
-/// tree's interconnect critical path is charged to the filter's fleet
-/// stats. Host traffic charges are identical for every shard count.
+/// cannot change it. The sums are formed as one partial per shard of
+/// `filter`'s fleet (a single partial without a filter) merged by a
+/// pairwise tree, which by that exactness is bit-identical for every shard
+/// count; the tree's interconnect critical path is charged to the filter's
+/// fleet stats. Host traffic charges are identical for every shard count.
 FloatMatrix UpdateCenters(const FloatMatrix& data,
                           const std::vector<int32_t>& assignments,
                           const FloatMatrix& previous_centers,
@@ -199,6 +227,113 @@ class PimAssignFilter : public MutationListener {
   /// matches MutableDataset::LiveCorpus().
   std::vector<uint32_t> live_ids_;
 };
+
+/// One k-means run as RunKmeans hands it to an algorithm's steps.
+struct KmeansRun {
+  const FloatMatrix& data;
+  const KmeansOptions& options;
+  const PimAssignFilter* filter;  // nullptr on host runs.
+  size_t n;
+  size_t k;
+  KmeansResult result;
+  /// Real distance each center moved in the last update step.
+  std::vector<double> moved;
+};
+
+/// The k-means iteration, written once for every algorithm: each PIM
+/// variant is the exact algorithm with the LB_PIM-ED filter in front of its
+/// exact distances (§VI-D). Validates the input, builds a run-local
+/// PimAssignFilter when options.use_pim (or borrows options.filter), draws
+/// the initial centers, then per iteration refreshes the filter's bounds,
+/// runs the algorithm's assign pass, the update step and the algorithm's
+/// bound maintenance, and stops after max_iterations or at the first pass
+/// after the first that reassigns no point. A pass's reassignments are the
+/// points whose assignment differs after it from before it; that count is
+/// pimine_kmeans_reassignments_total for every algorithm.
+///
+/// `steps` supplies only what differs between algorithms:
+///   void Setup(KmeansRun&);             // per-run state, footprint_bytes;
+///                                       // runs before traffic is counted.
+///   void Assign(KmeansRun&, int iter);  // one assign pass; iter 0 first.
+///   void UpdateBounds(KmeansRun&);      // optional "bound update" step.
+template <typename Steps>
+Result<KmeansResult> RunKmeans(const FloatMatrix& data,
+                               const KmeansOptions& options, Steps& steps) {
+  PIMINE_RETURN_IF_ERROR(ValidateKmeansInput(data, options));
+
+  std::unique_ptr<PimAssignFilter> owned_filter;
+  PimAssignFilter* filter = options.filter;
+  if (options.use_pim && filter == nullptr) {
+    PIMINE_ASSIGN_OR_RETURN(
+        owned_filter, PimAssignFilter::Build(data, options.engine_options));
+    filter = owned_filter.get();
+  }
+  if (filter != nullptr) filter->set_fanout_policy(options.exec);
+
+  KmeansRun run{data, options, filter, data.rows(),
+                static_cast<size_t>(options.k), {}, {}};
+  KmeansResult& result = run.result;
+  result.centers = InitCenters(data, options.k, options.seed);
+  result.assignments.assign(run.n, 0);
+  steps.Setup(run);
+
+  traffic::AggregateScope traffic_scope;
+  Timer total_wall;
+  std::vector<int32_t> before;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    Timer iter_wall;
+    // Modeled iteration latency: process-wide host traffic delta (exact at
+    // any thread count) + the device time this iteration's BeginIteration
+    // charges (added below, before any early exit).
+    const double pim_ns_before =
+        filter != nullptr ? filter->PimComputeNs() : 0.0;
+    obs::AggregateSpan iter_span("kmeans", "iteration");
+    iter_span.set_histogram(&result.stats.latency_hist);
+
+    if (filter != nullptr) {
+      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
+      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
+          result.centers, std::max<size_t>(1, options.exec.device_batch)));
+    }
+
+    before = result.assignments;
+    steps.Assign(run, iter);
+    size_t changed = 0;
+    for (size_t i = 0; i < run.n; ++i) {
+      changed += before[i] != result.assignments[i];
+    }
+    obs::AddCounter("pimine_kmeans_reassignments_total", changed);
+
+    {
+      ScopedFunctionTimer timer(&result.stats.profile, "update");
+      result.centers = UpdateCenters(data, result.assignments, result.centers,
+                                     &run.moved, filter);
+    }
+    if constexpr (requires { steps.UpdateBounds(run); }) {
+      ScopedFunctionTimer timer(&result.stats.profile, "bound update");
+      steps.UpdateBounds(run);
+    }
+
+    if (filter != nullptr) {
+      iter_span.AddModeledNs(filter->PimComputeNs() - pim_ns_before);
+    }
+    obs::AddCounter("pimine_kmeans_iterations_total", 1);
+    result.iteration_wall_ms.push_back(iter_wall.ElapsedMillis());
+    ++result.iterations;
+    if (changed == 0 && iter > 0) break;
+  }
+
+  result.inertia = ComputeInertia(data, result.centers, result.assignments);
+  result.stats.wall_ms = total_wall.ElapsedMillis();
+  result.stats.traffic = traffic_scope.Delta();
+  if (filter != nullptr) {
+    result.stats.pim_ns = filter->PimComputeNs();
+    result.stats.fault = filter->FaultStatsTotal();
+    result.stats.fleet = filter->FleetStats();
+  }
+  PublishKmeansRunMetrics(result.stats);
+  return std::move(result);
+}
 
 }  // namespace pimine
 

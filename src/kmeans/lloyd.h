@@ -16,13 +16,6 @@ class LloydKmeans : public KmeansAlgorithm {
                            const KmeansOptions& options) override;
 };
 
-/// Exact real (non-squared) Euclidean distance with traffic accounting.
-double KmeansExactDistance(std::span<const float> a, std::span<const float> b);
-
-/// Validates data/options combinations shared by all algorithms.
-Status ValidateKmeansInput(const FloatMatrix& data,
-                           const KmeansOptions& options);
-
 }  // namespace pimine
 
 #endif  // PIMINE_KMEANS_LLOYD_H_

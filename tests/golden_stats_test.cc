@@ -174,18 +174,23 @@ std::vector<KmeansGoldenCase> KmeansCases() {
   return cases;
 }
 
+// PIM runs pin the filter's pim_ns too; host runs (label suffix "_host")
+// pin the unfiltered traffic and counts.
 TEST(GoldenStatsTest, KmeansAlgorithms) {
   const Workload w = MakeWorkload();
   KmeansOptions options;
   options.k = 8;
   options.max_iterations = 3;
   options.seed = 123;
-  options.use_pim = true;  // exercises the PIM filter's pim_ns too.
-  for (const KmeansGoldenCase& c : KmeansCases()) {
-    auto algorithm = c.make();
-    auto result = algorithm->Run(w.data, options);
-    ASSERT_TRUE(result.ok()) << c.label;
-    CheckAgainstGolden(c.label, result->stats);
+  for (const bool use_pim : {true, false}) {
+    options.use_pim = use_pim;
+    for (const KmeansGoldenCase& c : KmeansCases()) {
+      const std::string label = use_pim ? c.label : c.label + "_host";
+      auto algorithm = c.make();
+      auto result = algorithm->Run(w.data, options);
+      ASSERT_TRUE(result.ok()) << label;
+      CheckAgainstGolden(label, result->stats);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include "kmeans/kmeans_common.h"
 #include "kmeans/lloyd.h"
 #include "kmeans/yinyang.h"
+#include "obs/obs.h"
 #include "test_helpers.h"
 
 namespace pimine {
@@ -32,9 +33,26 @@ struct TrajectoryCase {
 class KmeansEquivalenceTest
     : public ::testing::TestWithParam<TrajectoryCase> {};
 
+// Runs `algorithm` with observability on and returns the run's
+// pimine_kmeans_reassignments_total in `reassignments`.
+Result<KmeansResult> RunObserved(KmeansAlgorithm& algorithm,
+                                 const FloatMatrix& data,
+                                 const KmeansOptions& options,
+                                 uint64_t* reassignments) {
+  obs::Obs::Enable();
+  auto result = algorithm.Run(data, options);
+  *reassignments = obs::Obs::Get()
+                       ->metrics()
+                       .GetCounter("pimine_kmeans_reassignments_total")
+                       .Value();
+  obs::Obs::Disable();
+  return result;
+}
+
 // Elkan, Drake and Yinyang are exact accelerations of Lloyd; with the same
 // seed every variant — PIM or not — must land on identical assignments and
-// inertia (the paper's "accuracy is not compromised" claim for k-means).
+// inertia (the paper's "accuracy is not compromised" claim for k-means),
+// and so count the same reassignments.
 TEST_P(KmeansEquivalenceTest, AllVariantsFollowLloydTrajectory) {
   const auto [k, use_pim] = GetParam();
   const FloatMatrix data = ClusteredData(400, 24, 17);
@@ -45,7 +63,8 @@ TEST_P(KmeansEquivalenceTest, AllVariantsFollowLloydTrajectory) {
   base_options.seed = 123;
 
   LloydKmeans lloyd;
-  auto golden = lloyd.Run(data, base_options);
+  uint64_t golden_reassignments = 0;
+  auto golden = RunObserved(lloyd, data, base_options, &golden_reassignments);
   ASSERT_TRUE(golden.ok());
 
   KmeansOptions options = base_options;
@@ -59,10 +78,13 @@ TEST_P(KmeansEquivalenceTest, AllVariantsFollowLloydTrajectory) {
   algorithms.push_back(std::make_unique<HamerlyKmeans>());
 
   for (auto& algorithm : algorithms) {
-    auto result = algorithm->Run(data, options);
+    uint64_t reassignments = 0;
+    auto result = RunObserved(*algorithm, data, options, &reassignments);
     ASSERT_TRUE(result.ok()) << algorithm->name() << ": "
                              << result.status().ToString();
     EXPECT_EQ(result->iterations, golden->iterations) << algorithm->name();
+    EXPECT_EQ(reassignments, golden_reassignments)
+        << algorithm->name() << (use_pim ? " (PIM)" : "");
     EXPECT_NEAR(result->inertia, golden->inertia, 1e-6)
         << algorithm->name() << (use_pim ? " (PIM)" : "");
     ASSERT_EQ(result->assignments.size(), golden->assignments.size());
@@ -153,6 +175,11 @@ TEST(KmeansValidationTest, RejectsBadInput) {
   EXPECT_FALSE(lloyd.Run(data, options).ok());
   options.max_iterations = 5;
   EXPECT_FALSE(lloyd.Run(FloatMatrix(), options).ok());
+  // A borrowed PIM filter on a host run.
+  auto filter = PimAssignFilter::Build(data, EngineOptions());
+  ASSERT_TRUE(filter.ok());
+  options.filter = filter->get();
+  EXPECT_FALSE(lloyd.Run(data, options).ok());
 }
 
 TEST(KmeansDeterminismTest, SameSeedSameResult) {
