@@ -280,7 +280,9 @@ Result<KnnRunResult> FnnPimKnn::Search(const FloatMatrix& queries, int k) {
     const bool uses_device;
     const size_t first_refine_level;
     const bool maximize = false;
-    const size_t doubles_per_object = 2;  // bound array + sort order.
+    // Modeled: prices the bound array plus the paper's sorted-order
+    // array, not the simulator's lazy index heap.
+    const size_t doubles_per_object = 2;
   } path{*this,
          std::vector<Segments>(NumBatchSlots(exec_policy_, queries.rows())),
          use_pim_filter_,

@@ -45,6 +45,14 @@ Status MergeSearchSlots(const std::vector<SearchSlot>& slots,
 
 }  // namespace
 
+void ChargeOrderingTraffic(size_t n) {
+  traffic::CountRead(n * sizeof(double));
+  if (n == 0) return;
+  const uint64_t comparisons = n * (FloorLog2(n) + 1);
+  traffic::CountArithmetic(comparisons);
+  traffic::CountBranches(comparisons);
+}
+
 std::vector<uint32_t> ArgsortAscending(std::span<const double> values) {
   std::vector<uint32_t> order(values.size());
   std::iota(order.begin(), order.end(), 0);
@@ -52,14 +60,7 @@ std::vector<uint32_t> ArgsortAscending(std::span<const double> values) {
     if (values[a] != values[b]) return values[a] < values[b];
     return a < b;
   });
-  // One streaming pass over the value array plus n*log2(n) comparisons.
-  traffic::CountRead(values.size() * sizeof(double));
-  if (!values.empty()) {
-    const uint64_t comparisons =
-        values.size() * (FloorLog2(values.size()) + 1);
-    traffic::CountArithmetic(comparisons);
-    traffic::CountBranches(comparisons);
-  }
+  ChargeOrderingTraffic(values.size());
   return order;
 }
 

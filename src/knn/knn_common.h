@@ -1,12 +1,15 @@
 #ifndef PIMINE_KNN_KNN_COMMON_H_
 #define PIMINE_KNN_KNN_COMMON_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/similarity.h"
@@ -99,8 +102,14 @@ Status RunQueryBatchesWithPolicy(
 /// (scratch-sizing counterpart of NumSlots for device batches).
 size_t NumBatchSlots(const ExecPolicy& policy, size_t num_queries);
 
-/// Indices [0, n) sorted so values[out[0]] <= values[out[1]] <= ... Charges
-/// the sort's traffic to the thread-local counters.
+/// Charges the modeled cost of ordering `n` candidate bounds to the
+/// thread-local traffic counters: one streaming pass over the bound array
+/// plus n*(floor(log2 n)+1) comparisons. This prices the paper's sorted
+/// candidate order, whatever the simulator does to produce it.
+void ChargeOrderingTraffic(size_t n);
+
+/// Indices [0, n) sorted so values[out[0]] <= values[out[1]] <= ... (ties
+/// by ascending index). Charges ChargeOrderingTraffic(values.size()).
 std::vector<uint32_t> ArgsortAscending(std::span<const double> values);
 
 /// What a RefineInOrder hook did with one candidate.
@@ -115,21 +124,44 @@ enum class RefineStep {
 /// index), stops at the first bound that cannot beat a full `topk`'s
 /// threshold, and hands every other candidate to `refine(idx)`, which
 /// computes the exact distance (usually pushing it into `topk`) and says
-/// how the walk goes on. The ordering is timed under `order_tag`. Returns
-/// the number of candidates that reached an exact distance (kExact and
-/// kStop steps).
+/// how the walk goes on. Returns the number of candidates that reached an
+/// exact distance (kExact and kStop steps).
+///
+/// `bounds` must hold no NaN: (bound, index) is then a strict total order,
+/// so the visit sequence is exactly ArgsortAscending's. The order is
+/// produced lazily: an O(n) min-heap of candidate indices, popped only as
+/// far as the walk goes, so a walk that refines m candidates pays
+/// O(n + m log n) rather than a full sort. The modeled charge is still the
+/// full sort's (ChargeOrderingTraffic(n), once per walk). Heap build and
+/// pops are timed under `order_tag`.
 template <typename Refine>
 uint64_t RefineInOrder(std::span<const double> bounds, const TopK& topk,
                        Refine&& refine, FunctionProfiler* profile = nullptr,
                        std::string_view order_tag = {}) {
-  std::vector<uint32_t> order;
+  // std heaps put the greatest element on top, so "comes later in the
+  // walk" is the heap's less-than.
+  const auto later = [bounds](uint32_t a, uint32_t b) {
+    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
+    return a > b;
+  };
+  std::vector<uint32_t> heap(bounds.size());
   {
     ScopedFunctionTimer timer(profile, order_tag);
-    order = ArgsortAscending(bounds);
+    for (uint32_t i = 0; i < heap.size(); ++i) {
+      PIMINE_DCHECK(!std::isnan(bounds[i]));
+      heap[i] = i;
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    ChargeOrderingTraffic(bounds.size());
   }
   uint64_t exact = 0;
-  for (const uint32_t idx : order) {
+  for (auto end = heap.end(); end != heap.begin(); --end) {
+    const uint32_t idx = heap.front();
     if (topk.full() && bounds[idx] >= topk.threshold()) break;
+    {
+      ScopedFunctionTimer timer(profile, order_tag);
+      std::pop_heap(heap.begin(), end, later);
+    }
     const RefineStep step = refine(idx);
     if (step == RefineStep::kSkip) continue;
     ++exact;

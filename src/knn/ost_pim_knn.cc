@@ -97,7 +97,8 @@ Result<KnnRunResult> OstPimKnn::Search(const FloatMatrix& queries, int k) {
     const OstPimKnn& self;
     const bool uses_device = true;
     const bool maximize = false;
-    // Bound array, sort order and suffix norms.
+    // Modeled: bound array, the paper's sorted-order array and suffix
+    // norms (not the simulator's lazy index heap).
     const size_t doubles_per_object = 3;
   } path{*this};
   return RunPimSearch(*engine_, *data_, queries, k, exec_policy_, path);

@@ -174,7 +174,9 @@ struct FleetBoundPath {
   const Distance distance;
   const bool uses_device = true;
   const bool maximize;
-  const size_t doubles_per_object = 2;  // bound array + sort order.
+  // Modeled: prices the bound array plus the paper's sorted-order
+  // array, not the simulator's lazy index heap.
+  const size_t doubles_per_object = 2;
 };
 
 }  // namespace pimine

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
+#include "sim/traffic.h"
 #include "test_helpers.h"
 #include "util/random.h"
 
@@ -340,6 +342,69 @@ TEST(RefineInOrderTest, MatchesReferenceLoopOnRandomWalks) {
     };
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectSameWalk(c);
+  }
+}
+
+TEST(RefineInOrderTest, MatchesReferenceLoopOnDeepWalks) {
+  // Heaps deep enough to exercise every sift level, with coarse ties,
+  // signed zeros (equal under !=, so ordered by index) and +inf bounds
+  // (tombstones' PruneBound()).
+  Rng rng(2023);
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 40; ++trial) {
+    WalkCase c;
+    const size_t n = 1 + rng.NextBounded(5000);
+    // Every fourth walk never fills its heap and so visits all n.
+    c.k = trial % 4 == 1 ? n : 1 + rng.NextBounded(std::min<size_t>(n, 64));
+    for (size_t i = 0; i < n; ++i) {
+      double bound = static_cast<double>(rng.NextBounded(16)) / 16.0;
+      const uint64_t kind = rng.NextBounded(8);
+      if (kind == 0) bound = -0.0;
+      if (kind == 1) bound = 0.0;
+      if (kind == 2) bound = kInf;
+      c.bounds.push_back(bound);
+      c.distances.push_back(bound == kInf ? kInf : bound + rng.NextDouble());
+    }
+    const uint64_t skip_mod = 2 + rng.NextBounded(6);
+    c.skip = [skip_mod](uint32_t idx) { return idx % skip_mod == 0; };
+    const double cutoff = rng.NextDouble();
+    if (trial % 2 == 0) {
+      c.stop = [cutoff](const TopK& topk) {
+        return topk.full() && topk.threshold() <= cutoff;
+      };
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + " n " +
+                 std::to_string(n));
+    ExpectSameWalk(c);
+  }
+}
+
+TEST(RefineInOrderTest, ChargesArgsortTraffic) {
+  Rng rng(7);
+  for (const size_t n : {0, 1, 2, 3, 1023, 1024, 1025, 20000}) {
+    std::vector<double> bounds(n);
+    for (double& b : bounds) b = rng.NextDouble();
+    TrafficCounters want;
+    {
+      traffic::AggregateScope scope;
+      ArgsortAscending(bounds);
+      want = scope.Delta();
+    }
+    // One walk stops at its first candidate, the other visits all n: the
+    // charge is the same however far the walk goes.
+    for (const RefineStep step : {RefineStep::kStop, RefineStep::kExact}) {
+      TopK topk(n + 1);
+      traffic::AggregateScope scope;
+      uint64_t visited = 0;
+      RefineInOrder(bounds, topk, [&](uint32_t) {
+        ++visited;
+        return step;
+      });
+      SCOPED_TRACE("n " + std::to_string(n));
+      EXPECT_EQ(visited,
+                step == RefineStep::kStop ? std::min<size_t>(n, 1) : n);
+      EXPECT_EQ(scope.Delta(), want);
+    }
   }
 }
 
