@@ -278,31 +278,30 @@ int Main(int argc, char** argv) {
         }
         PIMINE_CHECK(!fo.Any()) << "deaths=0 recorded failover activity";
       } else if (ci + 1 == deaths_sweep.size()) {
-        // Heaviest row: the seeded schedule must keep results and failover
-        // accounting bit-identical across scheduler thread counts.
-        serve::ServeOptions opts4 = opts;
-        opts4.scheduler_threads = 4;
-        auto srv4 = serve::PimServer::Build(
-            workload.data, Distance::kEuclidean, fleet_options, opts4);
-        PIMINE_CHECK(srv4.ok()) << srv4.status().ToString();
-        const serve::ReplayOutput out4 =
-            MustReplay(**srv4, *trace, workload.queries);
-        PIMINE_CHECK(out4.results.size() == output.results.size());
-        for (size_t i = 0; i < output.results.size(); ++i) {
-          PIMINE_CHECK(out4.results[i].status.ok() ==
-                           output.results[i].status.ok() &&
-                       out4.results[i].neighbors ==
-                           output.results[i].neighbors)
-              << "chaos replay diverged across thread counts at query " << i;
+        // Heaviest row: the seeded schedule must keep results and the whole
+        // failover accounting bit-identical across scheduler thread counts.
+        for (const int threads : {2, 4}) {
+          serve::ServeOptions threaded = opts;
+          threaded.scheduler_threads = threads;
+          auto srv_t = serve::PimServer::Build(
+              workload.data, Distance::kEuclidean, fleet_options, threaded);
+          PIMINE_CHECK(srv_t.ok()) << srv_t.status().ToString();
+          const serve::ReplayOutput out_t =
+              MustReplay(**srv_t, *trace, workload.queries);
+          PIMINE_CHECK(out_t.results.size() == output.results.size());
+          for (size_t i = 0; i < output.results.size(); ++i) {
+            PIMINE_CHECK(out_t.results[i].status.ok() ==
+                             output.results[i].status.ok() &&
+                         out_t.results[i].neighbors ==
+                             output.results[i].neighbors)
+                << "chaos replay diverged at " << threads
+                << " threads at query " << i;
+          }
+          const FailoverStats fo_t = (*srv_t)->engine().FleetStats().failover;
+          PIMINE_CHECK(fo_t.ToString() == fo.ToString())
+              << "failover accounting diverged at " << threads
+              << " threads: " << fo.ToString() << " vs " << fo_t.ToString();
         }
-        // The balance counters are interleaving-invariant; backoff/retry
-        // charges are not (WHICH dispatch pays depends on when the strike
-        // state lands — a timing-model artifact, never a results one).
-        const FailoverStats fo4 = (*srv4)->engine().FleetStats().failover;
-        PIMINE_CHECK(fo4.injected == fo.injected &&
-                     fo4.recovered == fo.recovered && fo4.shed == fo.shed)
-            << "failover balance diverged across thread counts: "
-            << fo.ToString() << " vs " << fo4.ToString();
       }
 
       const serve::ServeStats& stats = output.stats;

@@ -95,7 +95,6 @@ Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
 
   const size_t m = fleet->map_.shards();
   fleet->engines_.resize(m);
-  fleet->replica_state_.resize(m);
   for (size_t j = 0; j < m; ++j) {
     // One shard programs `data` itself; a split copies each shard's rows.
     FloatMatrix shard_data;
@@ -121,8 +120,9 @@ Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
           std::unique_ptr<PimEngine> engine,
           PimEngine::Build(m > 1 ? shard_data : data, distance, copy));
       fleet->engines_[j].push_back(std::move(engine));
-      fleet->replica_state_[j].push_back(std::make_unique<ReplicaState>());
     }
+    fleet->ledgers_.push_back(std::make_unique<ShardLedger>());
+    fleet->ledgers_.back()->strikes.assign(options.shard.replicas, 0);
     fleet->shard_counters_.push_back(std::make_unique<ShardCounters>());
   }
   return fleet;
@@ -170,10 +170,12 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
   }
 
   // Scatter: every shard matches the same prepared operands against its
-  // rows, walking its replica ladder on a fault. Per-query trace spans are
-  // suppressed in the per-shard calls when M > 1 and emitted once below —
-  // the shards run concurrently, so the fleet's serial-equivalent
-  // per-query device time is one pass, not M.
+  // rows on the replica its failover plan names (walked here when the
+  // caller brought none: each walk touches only its own shard's ledger).
+  // Per-query trace spans are suppressed in the per-shard calls when M > 1
+  // and emitted once below — the shards run concurrently, so the fleet's
+  // serial-equivalent per-query device time is one pass, not M.
+  PIMINE_DCHECK(dispatch.plans.empty() || dispatch.plans.size() == m);
   const bool multi = m > 1;
   std::vector<Status> status(m, Status::OK());
   ParallelChunks(fanout_policy_, m, 1,
@@ -181,6 +183,9 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
                    for (size_t j = begin; j < end; ++j) {
                      status[j] = DeviceBatchWithFailover(
                          j, *scratch, num_queries, &out.shards[j], dispatch,
+                         dispatch.plans.empty()
+                             ? PlanFailover(j, num_queries, dispatch)
+                             : dispatch.plans[j],
                          /*emit_query_spans=*/!multi);
                    }
                  });
@@ -231,78 +236,50 @@ uint64_t ShardedPimEngine::LadderToken(uint64_t now_ns, size_t j) {
 Status ShardedPimEngine::DeviceBatchWithFailover(
     size_t j, const QueryScratch& scratch, size_t num_queries,
     PimEngine::QueryHandleBatch* handle, const DispatchOptions& dispatch,
-    bool emit_query_spans) const {
+    const FailoverPlan& plan, bool emit_query_spans) const {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   ShardCounters& ctr = *shard_counters_[j];
-  const std::vector<std::unique_ptr<ReplicaState>>& health = replica_state_[j];
-  const int num_replicas = static_cast<int>(health.size());
+  const int num_replicas = static_cast<int>(engines_[j].size());
 
-  bool skipped = false;
-  uint64_t denials = 0;
-  Status hard_error;
+  // The plan's ladder accounting: denials, strikes and retry rungs (all
+  // zero unless the schedule denied an attempt).
+  if (plan.failed_attempts > 0) {
+    ctr.attempts_failed.fetch_add(plan.failed_attempts, kRelaxed);
+    ctr.chaos_denied.fetch_add(plan.failed_attempts, kRelaxed);
+    ctr.strikes.fetch_add(plan.strikes, kRelaxed);
+    ctr.struck_out.fetch_add(plan.struck_out, kRelaxed);
+    ctr.backoff_ns.fetch_add(plan.backoff_ns, kRelaxed);
+    ctr.retry_messages.fetch_add(plan.rungs * DeviceMatrices(), kRelaxed);
+    ctr.retry_bytes.fetch_add(plan.rungs * OperandBytes(num_queries),
+                              kRelaxed);
+  }
+
+  // A data-plane DeviceFault on the planned replica is one more failed
+  // attempt. It is not re-walked and leaves the ledger alone: its op nonce
+  // follows execution order, so no plan could have foreseen it.
   std::string last_fault;
-  const FailoverPlan walk = WalkLadder(
-      j, num_queries, dispatch,
-      [&](int r) {
-        const bool out = health[r]->out.load(std::memory_order_acquire);
-        skipped = skipped || out;
-        return out;
-      },
-      [&](int r, bool denied) {
-        if (denied) {
-          ++denials;
-        } else {
-          const Status s = engines_[j][r]->DeviceBatch(
-              scratch, num_queries, handle, emit_query_spans);
-          if (s.ok()) {
-            health[r]->strikes.store(0, kRelaxed);
-            return LadderStep::kServed;
-          }
-          if (s.code() != StatusCode::kDeviceFault) {
-            hard_error = s;
-            return LadderStep::kAbort;
-          }
-          last_fault = "replica " + std::to_string(r) + ": " + s.message();
-        }
-        // Consecutive-failure strikes are meaningful only when there is
-        // somewhere to fail over to: with one replica the legacy semantics
-        // (attempt the device, escalate on a fault) are kept untouched.
-        if (num_replicas > 1) {
-          ctr.strikes.fetch_add(1, kRelaxed);
-          ReplicaState& rs = *health[r];
-          const uint32_t strikes =
-              rs.strikes.fetch_add(1, std::memory_order_acq_rel) + 1;
-          if (strikes >= static_cast<uint32_t>(options_.shard.max_strikes) &&
-              !rs.out.exchange(true, std::memory_order_acq_rel)) {
-            ctr.struck_out.fetch_add(1, kRelaxed);
-          }
-        }
-        return LadderStep::kFailed;
-      });
-  const uint64_t failed = static_cast<uint64_t>(walk.failed_attempts);
-  if (failed > 0) {
-    ctr.attempts_failed.fetch_add(failed, kRelaxed);
-    ctr.chaos_denied.fetch_add(denials, kRelaxed);
-    ctr.device_faults.fetch_add(failed - denials, kRelaxed);
-    ctr.backoff_ns.fetch_add(walk.backoff_ns, kRelaxed);
-    ctr.retry_messages.fetch_add(walk.rungs * DeviceMatrices(), kRelaxed);
-    ctr.retry_bytes.fetch_add(walk.rungs * OperandBytes(num_queries),
-                              kRelaxed);
-  }
-  if (!hard_error.ok()) return hard_error;
-  if (!walk.shed) {
-    ctr.serving_replica.store(static_cast<uint32_t>(walk.serving_replica),
-                              kRelaxed);
-    ctr.slack_mode.store(false, kRelaxed);
-    if (failed > 0 || skipped) {
-      ctr.injected.fetch_add(1, kRelaxed);
-      ctr.recovered.fetch_add(1, kRelaxed);
+  if (!plan.shed) {
+    const int r = plan.serving_replica;
+    const Status s = engines_[j][r]->DeviceBatch(scratch, num_queries, handle,
+                                                 emit_query_spans);
+    if (s.ok()) {
+      ctr.serving_replica.store(static_cast<uint32_t>(r), kRelaxed);
+      ctr.slack_mode.store(false, kRelaxed);
+      if (plan.Injected()) {
+        ctr.injected.fetch_add(1, kRelaxed);
+        ctr.recovered.fetch_add(1, kRelaxed);
+      }
+      return Status::OK();
     }
-    return Status::OK();
+    if (s.code() != StatusCode::kDeviceFault) return s;
+    ctr.attempts_failed.fetch_add(1, kRelaxed);
+    ctr.device_faults.fetch_add(1, kRelaxed);
+    last_fault = "replica " + std::to_string(r) + ": " + s.message();
   }
 
-  // Every replica exhausted (struck out, denied, faulted, or priced out by
-  // the ladder deadline): the op loses its device path.
+  // The plan shed (every replica struck out, denied or priced out by the
+  // ladder deadline) or the planned replica faulted: the op loses its
+  // device path.
   ctr.injected.fetch_add(1, kRelaxed);
   ctr.shed.fetch_add(1, kRelaxed);
   if (!options_.shard.failover) {
@@ -318,7 +295,7 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     return Status::DeviceFault(
         "shard " + std::to_string(j) + " (op " + nonce + "): all " +
         std::to_string(num_replicas) + " replica(s) exhausted" +
-        (walk.deadline_shed ? " (ladder deadline exceeded)" : "") +
+        (plan.deadline_shed ? " (ladder deadline exceeded)" : "") +
         (last_fault.empty() ? "" : "; last fault at " + last_fault));
   }
   if (dispatch.slack_on_exhaustion) {
@@ -342,13 +319,55 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
 ShardedPimEngine::FailoverPlan ShardedPimEngine::PlanFailover(
     size_t j, size_t num_queries, const DispatchOptions& dispatch) const {
   PIMINE_DCHECK(j < engines_.size());
-  // The executing walk with no strike state and no device call: every
-  // attempt the schedule does not deny is served.
-  return WalkLadder(
-      j, num_queries, dispatch, [](int) { return false; },
-      [](int, bool denied) {
-        return denied ? LadderStep::kFailed : LadderStep::kServed;
-      });
+  const uint64_t now_ns = DispatchNowNs(dispatch);
+  const uint64_t token = LadderToken(now_ns, j);
+  const uint32_t shard = static_cast<uint32_t>(j);
+  const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
+  const double retry_ns = TransferNs(device1().config(), DeviceMatrices(),
+                                     OperandBytes(num_queries));
+  const ShardOptions& o = options_.shard;
+  // Strikes are meaningful only when there is somewhere to fail over to:
+  // with one replica a denied op sheds with no ledger entry.
+  const bool keep_strikes = o.replicas > 1;
+  ShardLedger& ledger = *ledgers_[j];
+  std::lock_guard<std::mutex> lock(ledger.mu);
+  FailoverPlan plan;
+  for (int r = 0; r < o.replicas; ++r) {
+    if (StruckOut(ledger.strikes[r])) {
+      ++plan.skipped;
+      continue;
+    }
+    if (plan.failed_attempts > 0) {
+      const uint64_t wait =
+          FailoverBackoffNs(o.backoff_base_ns, o.backoff_jitter_ns,
+                            o.backoff_seed, token, plan.failed_attempts);
+      if (dispatch.deadline_ns != 0 &&
+          plan.backoff_ns + wait > dispatch.deadline_ns) {
+        plan.deadline_shed = true;
+        break;
+      }
+      plan.backoff_ns += wait;
+      plan.extra_ns += static_cast<double>(wait) + retry_ns;
+      ++plan.rungs;
+    }
+    const bool denied =
+        chaos_on && (chaos_->LinkDown(shard, now_ns) ||
+                     chaos_->ReplicaDown(shard, static_cast<uint32_t>(r),
+                                         now_ns));
+    if (!denied) {
+      ledger.strikes[r] = 0;
+      plan.serving_replica = r;
+      return plan;
+    }
+    ++plan.failed_attempts;
+    if (keep_strikes) {
+      ++plan.strikes;
+      if (StruckOut(++ledger.strikes[r])) ++plan.struck_out;
+    }
+  }
+  plan.serving_replica = -1;
+  plan.shed = true;
+  return plan;
 }
 
 uint64_t ShardedPimEngine::OperandBytes(size_t num_queries) const {
@@ -520,24 +539,21 @@ bool ShardedPimEngine::shard_slack_mode(size_t j) const {
 }
 
 int ShardedPimEngine::replica_strikes(size_t j, size_t r) const {
-  PIMINE_DCHECK(j < replica_state_.size());
-  PIMINE_DCHECK(r < replica_state_[j].size());
-  return static_cast<int>(
-      replica_state_[j][r]->strikes.load(std::memory_order_relaxed));
+  PIMINE_DCHECK(j < ledgers_.size());
+  PIMINE_DCHECK(r < engines_[j].size());
+  std::lock_guard<std::mutex> lock(ledgers_[j]->mu);
+  return static_cast<int>(ledgers_[j]->strikes[r]);
 }
 
 bool ShardedPimEngine::replica_out(size_t j, size_t r) const {
-  PIMINE_DCHECK(j < replica_state_.size());
-  PIMINE_DCHECK(r < replica_state_[j].size());
-  return replica_state_[j][r]->out.load(std::memory_order_acquire);
+  return StruckOut(static_cast<uint32_t>(replica_strikes(j, r)));
 }
 
 bool ShardedPimEngine::shard_degraded(size_t j) const {
   if (serving_replica(j) != 0 || shard_slack_mode(j)) return true;
-  for (size_t r = 0; r < replica_state_[j].size(); ++r) {
-    if (replica_out(j, r)) return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(ledgers_[j]->mu);
+  return std::any_of(ledgers_[j]->strikes.begin(), ledgers_[j]->strikes.end(),
+                     [this](uint32_t strikes) { return StruckOut(strikes); });
 }
 
 int ShardedPimEngine::DegradedShards() const {
@@ -549,11 +565,9 @@ int ShardedPimEngine::DegradedShards() const {
 }
 
 void ShardedPimEngine::ResetReplicaHealth() {
-  for (const auto& shard : replica_state_) {
-    for (const auto& rs : shard) {
-      rs->strikes.store(0, std::memory_order_relaxed);
-      rs->out.store(false, std::memory_order_release);
-    }
+  for (const auto& ledger : ledgers_) {
+    std::lock_guard<std::mutex> lock(ledger->mu);
+    std::fill(ledger->strikes.begin(), ledger->strikes.end(), 0);
   }
 }
 

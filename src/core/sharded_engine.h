@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -22,9 +23,33 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
+/// One shard's failover ladder for one dispatch, as ShardedPimEngine::
+/// PlanFailover walked it: the replica that serves (or the shed), what the
+/// walk wrote to the shard's strike ledger, and the modeled time its retry
+/// rungs cost. Execution follows the plan and adds these values to the
+/// shard's FailoverStats, so the counters are a sum of plans.
+struct FailoverPlan {
+  int serving_replica = 0;  // -1 when the op sheds off-device.
+  int failed_attempts = 0;  // attempts the chaos schedule denied.
+  int skipped = 0;          // struck-out replicas passed over (no rung).
+  int strikes = 0;          // strikes the walk recorded on the ledger.
+  int struck_out = 0;       // replicas the walk struck out.
+  bool shed = false;
+  /// The shed was forced by the ladder deadline, not by exhaustion.
+  bool deadline_shed = false;
+  int rungs = 0;  // retry rungs charged (one backoff + re-scatter each).
+  uint64_t backoff_ns = 0;
+  /// backoff_ns + modeled retry re-scatter transfer time, added one rung
+  /// at a time.
+  double extra_ns = 0.0;
+
+  /// The op lost its primary device path (FailoverStats::injected).
+  bool Injected() const { return shed || failed_attempts > 0 || skipped > 0; }
+};
+
 /// Per-dispatch context of ShardedPimEngine's failover ladder
 /// (ShardedPimEngine::DispatchOptions). The default value is a plain
-/// dispatch: no chaos instant, host-exact shedding.
+/// dispatch: no chaos instant, host-exact shedding, ladders walked inline.
 struct FleetDispatchOptions {
   /// Dispatch instant on the caller's clock (virtual ns in replay) the
   /// chaos schedule is evaluated at. 0 falls back to set_chaos_now_ns.
@@ -36,6 +61,10 @@ struct FleetDispatchOptions {
   /// Ladder budget: cumulative seeded backoff one dispatch may spend
   /// walking a shard's replicas before the op sheds. 0 = unbounded.
   uint64_t deadline_ns = 0;
+  /// The ladders this dispatch already walked, one PlanFailover per shard
+  /// (index = shard), taken with this dispatch's now_ns and deadline_ns.
+  /// Empty: RunQueryBatch walks each shard's ladder itself.
+  std::span<const FailoverPlan> plans;
 };
 
 /// A fleet of PIM devices acting as one logical engine (DESIGN.md section
@@ -82,38 +111,36 @@ class ShardedPimEngine {
   /// query is a batch of one. Bounds derived from the handle are
   /// bit-identical to the single-device engine's for every M.
   ///
-  /// A shard failing with DeviceFault walks its replica ladder under
-  /// `dispatch` (the default: no chaos instant, host-exact shedding). Every
-  /// transition of the ladder — failed attempt, strike, recovery on a
-  /// later replica, shed — lands in FailoverStats (FleetStats().failover,
-  /// invariant injected == recovered + shed).
+  /// Each shard serves on the replica its failover plan names
+  /// (dispatch.plans, or a PlanFailover walked here when none is given).
+  /// A shed plan, or a DeviceFault on the planned replica, sheds the op by
+  /// the exhaustion rule: host-exact recompute, a bound-slack fill when
+  /// dispatch.slack_on_exhaustion, or a DeviceFault naming the op nonce
+  /// when ShardOptions::failover is off. Every plan lands in FailoverStats
+  /// (FleetStats().failover, invariant injected == recovered + shed).
   Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
                        QueryScratch* scratch, QueryHandleBatch* out,
                        const DispatchOptions& dispatch = {}) const;
 
-  /// What the chaos-availability ladder will do for shard `j` dispatched
-  /// at `dispatch.now_ns`: the serving replica (or shed), the failed
-  /// attempts walked past, and the modeled extra time (seeded backoff +
-  /// operand re-scatter per retry). It is the executing WalkLadder walk
-  /// with hooks that keep no strike state and call no device, so it is a
-  /// PURE function of (chaos schedule, options, dispatch) — the
-  /// virtual-clock scheduler extends each formed batch by the max over
-  /// shards of extra_ns, and the execution, walking the same dispatch,
-  /// charges the identical waits. Replica strike state is deliberately NOT
-  /// consulted: the timing model stays stateless (see DESIGN.md section
-  /// 12).
-  struct FailoverPlan {
-    int serving_replica = 0;  // -1 when the op sheds off-device.
-    int failed_attempts = 0;  // chaos denials and device faults.
-    bool shed = false;
-    /// The shed was forced by the ladder deadline, not by exhaustion.
-    bool deadline_shed = false;
-    int rungs = 0;  // retry rungs charged (one backoff + re-scatter each).
-    uint64_t backoff_ns = 0;
-    /// backoff_ns + modeled retry re-scatter transfer time, added one rung
-    /// at a time.
-    double extra_ns = 0.0;
-  };
+  /// Walks shard j's failover ladder for one dispatch of `num_queries`
+  /// queries at `dispatch.now_ns` — the one walk of the ladder. Replicas
+  /// are visited primary first: a struck-out replica is passed over, a
+  /// replica the chaos schedule denies (replica or link down) takes a
+  /// strike, and the first one allowed serves and clears its strikes.
+  /// Every attempt after a denial is preceded by a retry rung (seeded
+  /// backoff + one operand re-scatter), and the deadline is checked
+  /// BEFORE the wait is charged, so an op that cannot afford its next rung
+  /// sheds at once. max_strikes consecutive denials strike a replica out
+  /// until ResetReplicaHealth(); strikes are kept only with replicas > 1.
+  ///
+  /// The walk advances shard j's strike ledger, so it must run exactly
+  /// once per (dispatch, device_batch chunk, shard): the plan it returns
+  /// is then handed to RunQueryBatch in dispatch.plans. Called in dispatch
+  /// order (the replay's virtual-clock pass), the ledger and every plan
+  /// are a pure function of the chaos schedule and the earlier dispatches,
+  /// whatever threads execute them. Safe to call concurrently (the ledger
+  /// is locked per shard); concurrent callers get some serial order.
+  using FailoverPlan = pimine::FailoverPlan;
   FailoverPlan PlanFailover(size_t j, size_t num_queries,
                             const DispatchOptions& dispatch) const;
 
@@ -302,31 +329,6 @@ class ShardedPimEngine {
 
   PimEngine& primary(size_t j) const { return *engines_[j][0]; }
 
-  /// How one attempt of a ladder walk ended.
-  enum class LadderStep {
-    kServed,  // the replica served the op; the walk ends here.
-    kFailed,  // the attempt failed; the walk goes on to the next replica.
-    kAbort,   // a hard (non-fault) error; the walk ends here.
-  };
-
-  /// Shard j's failover ladder for one dispatch, and the one place it is
-  /// walked: visits the replicas in deterministic order (primary first).
-  /// Every attempt after a failure is preceded by a retry rung — the
-  /// seeded backoff wait plus one operand re-scatter — and the deadline is
-  /// checked BEFORE the wait is charged, so an op that cannot afford the
-  /// next rung sheds at once rather than burning budget it does not have.
-  /// The hooks supply what differs between executing and planning:
-  ///   bool skip(int r) — pass replica r over with no rung and no attempt
-  ///     (a struck-out replica);
-  ///   LadderStep attempt(int r, bool denied) — try replica r. `denied`
-  ///     means the chaos schedule (replica or link down at the dispatch
-  ///     instant) refuses the attempt; the hook then makes no device call
-  ///     and returns kFailed.
-  template <typename Skip, typename Attempt>
-  FailoverPlan WalkLadder(size_t j, size_t num_queries,
-                          const DispatchOptions& dispatch, Skip&& skip,
-                          Attempt&& attempt) const;
-
   /// The dispatch instant the chaos schedule and the backoff jitter see.
   uint64_t DispatchNowNs(const DispatchOptions& dispatch) const {
     return dispatch.now_ns != 0
@@ -338,14 +340,15 @@ class ShardedPimEngine {
   /// draw identical waits regardless of thread interleaving.
   static uint64_t LadderToken(uint64_t now_ns, size_t j);
 
-  /// Executes one shard's share of one dispatch on the failover ladder:
-  /// WalkLadder with hooks that skip struck-out replicas, run
-  /// DeviceBatch and record strikes, escalating off-device only when every
-  /// replica is exhausted.
+  /// Executes one shard's share of one dispatch on its failover plan: a
+  /// DeviceBatch on the planned replica, or the exhaustion rule when the
+  /// plan sheds or that replica faults. Adds the plan to shard j's
+  /// counters; never walks the ladder itself.
   Status DeviceBatchWithFailover(size_t j, const QueryScratch& scratch,
                                  size_t num_queries,
                                  PimEngine::QueryHandleBatch* handle,
                                  const DispatchOptions& dispatch,
+                                 const FailoverPlan& plan,
                                  bool emit_query_spans) const;
 
   /// Device matrices one dispatch runs per shard (2 for the FNN bound).
@@ -373,15 +376,20 @@ class ShardedPimEngine {
   const ChaosSchedule* chaos_ = nullptr;
   mutable std::atomic<uint64_t> chaos_now_ns_{0};
 
-  /// Ladder health of one replica. `strikes` counts CONSECUTIVE failed
-  /// attempts (any success resets it); at max_strikes the replica is
-  /// struck out and skipped until ResetReplicaHealth().
-  struct ReplicaState {
-    std::atomic<uint32_t> strikes{0};
-    std::atomic<bool> out{false};
+  /// Shard j's strike ledger, owned by PlanFailover (the one writer).
+  /// strikes[r] counts CONSECUTIVE denials of replica r (a served attempt
+  /// clears it); at max_strikes the replica is struck out, and skipped
+  /// (so never cleared) until ResetReplicaHealth(). Heap-allocated: a
+  /// mutex is immovable.
+  struct ShardLedger {
+    std::mutex mu;
+    std::vector<uint32_t> strikes;  // guarded by mu, one per replica.
   };
-  mutable std::vector<std::vector<std::unique_ptr<ReplicaState>>>
-      replica_state_;
+  /// Whether a ledger strike count has struck its replica out.
+  bool StruckOut(uint32_t strikes) const {
+    return strikes >= static_cast<uint32_t>(options_.shard.max_strikes);
+  }
+  mutable std::vector<std::unique_ptr<ShardLedger>> ledgers_;
 
   // One atomic per interconnect and failover counter-table entry: integer
   // counters only (mutated under concurrent RunQueryBatch calls;
@@ -416,50 +424,6 @@ class ShardedPimEngine {
   std::atomic<uint64_t> mut_compactions_{0};
   std::atomic<uint64_t> mut_compacted_rows_{0};
 };
-
-template <typename Skip, typename Attempt>
-ShardedPimEngine::FailoverPlan ShardedPimEngine::WalkLadder(
-    size_t j, size_t num_queries, const DispatchOptions& dispatch,
-    Skip&& skip, Attempt&& attempt) const {
-  const uint64_t now_ns = DispatchNowNs(dispatch);
-  const uint64_t token = LadderToken(now_ns, j);
-  const uint32_t shard = static_cast<uint32_t>(j);
-  const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
-  const double retry_ns = TransferNs(device1().config(), DeviceMatrices(),
-                                     OperandBytes(num_queries));
-  const ShardOptions& o = options_.shard;
-  FailoverPlan plan;
-  for (int r = 0; r < static_cast<int>(engines_[j].size()); ++r) {
-    if (skip(r)) continue;
-    if (plan.failed_attempts > 0) {
-      const uint64_t wait =
-          FailoverBackoffNs(o.backoff_base_ns, o.backoff_jitter_ns,
-                            o.backoff_seed, token, plan.failed_attempts);
-      if (dispatch.deadline_ns != 0 &&
-          plan.backoff_ns + wait > dispatch.deadline_ns) {
-        plan.deadline_shed = true;
-        break;
-      }
-      plan.backoff_ns += wait;
-      plan.extra_ns += static_cast<double>(wait) + retry_ns;
-      ++plan.rungs;
-    }
-    const bool denied =
-        chaos_on && (chaos_->LinkDown(shard, now_ns) ||
-                     chaos_->ReplicaDown(shard, static_cast<uint32_t>(r),
-                                         now_ns));
-    const LadderStep step = attempt(r, denied);
-    if (step == LadderStep::kServed) {
-      plan.serving_replica = r;
-      return plan;
-    }
-    if (step == LadderStep::kAbort) return plan;
-    ++plan.failed_attempts;
-  }
-  plan.serving_replica = -1;
-  plan.shed = true;
-  return plan;
-}
 
 /// Merges per-shard top-k lists into the global top-k. Every input list
 /// must be sorted the way TopK::TakeSorted emits — ascending by

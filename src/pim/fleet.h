@@ -45,8 +45,9 @@ struct ShardOptions {
   /// When true, a shard whose device operation fails with DeviceFault
   /// (RecoveryPolicy VerifyMode::kFailOp exhausted its ladder) is
   /// escalated to a host-exact recompute of only that shard instead of
-  /// failing the whole fleet operation. With replicas > 1 the escalation
-  /// only happens after every replica has been tried.
+  /// failing the whole fleet operation. With replicas > 1 a replica the
+  /// chaos schedule denies fails over to the next one first; a device
+  /// fault on the serving replica escalates at once.
   bool failover = true;
   /// Copies of every shard programmed onto independent devices, in
   /// [1, kMaxReplicas]. Replicas hold the identical shard dataset with
@@ -55,9 +56,9 @@ struct ShardOptions {
   /// fires. Each copy charges its own ProgramLatencyNs (offline bytes sum
   /// over copies; offline time is the max — copies program concurrently).
   int replicas = 1;
-  /// Consecutive failed attempts after which a replica is marked unhealthy
-  /// and skipped by the failover ladder (a successful attempt resets the
-  /// count; ResetReplicaHealth() readmits struck-out replicas). Ignored
+  /// Consecutive chaos-denied attempts after which a replica is marked
+  /// unhealthy and skipped by the failover ladder (a served attempt resets
+  /// the count; ResetReplicaHealth() readmits struck-out replicas). Ignored
   /// when replicas == 1: with nothing to fail over to, a faulted op
   /// escalates directly — exactly the pre-replica ladder.
   int max_strikes = 3;

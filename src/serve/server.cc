@@ -20,17 +20,6 @@ namespace pimine {
 namespace serve {
 namespace {
 
-/// One shard's planned failover outcome for a dispatch (chaos replay):
-/// recorded during the deterministic formation pass, exported as recovery
-/// telemetry during the accounting pass.
-struct FailoverNote {
-  uint32_t shard = 0;
-  int serving_replica = 0;  // -1 = shed off-device.
-  int failed_attempts = 0;
-  bool shed = false;
-  uint64_t backoff_ns = 0;
-};
-
 /// One scheduler dispatch decided by the virtual-clock formation pass.
 struct FormedBatch {
   uint64_t dispatch_ns = 0;
@@ -40,8 +29,10 @@ struct FormedBatch {
   /// dispatch executes with bound-slack escalation.
   bool degraded = false;
   std::vector<PendingQuery> members;
-  /// Shards whose replica ladder fires at this dispatch instant.
-  std::vector<FailoverNote> notes;
+  /// The failover plan of every (device_batch chunk, shard) of this
+  /// dispatch, chunk-major (index chunk * shards + shard), walked by the
+  /// formation pass and followed by execution. Empty when chaos is off.
+  std::vector<FailoverPlan> plans;
 };
 
 uint64_t ToTicks(double ns) {
@@ -194,15 +185,21 @@ void PimServer::RunDispatch(std::span<const float> qbuf,
   // One engine batch operation per device_batch chunk: max_batch bounds
   // the scheduler's coalescing, device_batch the per-operation GEMM width.
   const size_t device_batch = options_.exec.device_batch;
+  const size_t shards = engine_->shards();
+  ShardedPimEngine::DispatchOptions chunk_dispatch = dispatch;
   for (size_t c0 = 0; c0 < batch_size; c0 += device_batch) {
     const size_t c1 = std::min(batch_size, c0 + device_batch);
     const size_t chunk = c1 - c0;
+    if (!dispatch.plans.empty()) {
+      chunk_dispatch.plans =
+          dispatch.plans.subspan(c0 / device_batch * shards, shards);
+    }
     // Label engine spans with the first member's admission id, matching
     // the batched harness convention (base + in-batch index = query id).
     obs::ScopedTrackBase track_base(static_cast<int64_t>(members[c0].id));
     const Status status = engine_->RunQueryBatch(
         std::span<const float>(qbuf.data() + c0 * dims, chunk * dims), chunk,
-        &s->query, &s->handle, dispatch);
+        &s->query, &s->handle, chunk_dispatch);
     if (!status.ok()) {
       if (s->status.ok()) s->status = status;
       return;
@@ -262,6 +259,9 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
     }
   }
 
+  // The formation pass below walks the failover ladders, so the strike
+  // ledgers start every replay from a healthy fleet.
+  engine_->ResetReplicaHealth();
   ReplayOutput out;
   out.results.resize(trace.events.size());
   out.stats.tenants = MakeTenantStats(options_);
@@ -304,41 +304,30 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
         service += engine_->ModeledBatchNs(chunk);
       }
       if (chaos_.enabled()) {
-        // Plan the replica-failover ladder of every shard at this dispatch
-        // instant: PlanFailover is pure in (schedule, options, dispatch),
-        // so this single-threaded pass and the multi-threaded execution
-        // walk identical ladders and charge identical extra time. Shards
-        // run concurrently (max); a shard's device_batch chunks run
-        // sequentially (sum over chunk sizes).
+        // Walk every shard's failover ladder for every device_batch chunk
+        // of this dispatch. PlanFailover advances the strike ledgers, and
+        // this pass runs in dispatch order, so the plans (stored for
+        // execution to follow) and the extra time they price depend only
+        // on the schedule and the earlier dispatches. Shards run
+        // concurrently (max); a shard's chunks run sequentially (sum).
         b.degraded = DegradedShardAt(dispatch) >= 0;
         ShardedPimEngine::DispatchOptions dopt;
         dopt.now_ns = dispatch;
         dopt.deadline_ns = options_.batch_deadline_ns;
+        const size_t shards = engine_->shards();
         const size_t db = options_.exec.device_batch;
-        const size_t full_chunks = b.members.size() / db;
-        const size_t rem = b.members.size() % db;
+        const size_t chunks = (b.members.size() + db - 1) / db;
+        b.plans.resize(chunks * shards);
         double extra = 0.0;
-        for (size_t j = 0; j < engine_->shards(); ++j) {
+        for (size_t j = 0; j < shards; ++j) {
           double shard_extra = 0.0;
-          ShardedPimEngine::FailoverPlan plan;
-          if (full_chunks > 0) {
-            plan = engine_->PlanFailover(j, db, dopt);
-            shard_extra += static_cast<double>(full_chunks) * plan.extra_ns;
-          }
-          if (rem > 0) {
-            plan = engine_->PlanFailover(j, rem, dopt);
+          for (size_t c = 0; c < chunks; ++c) {
+            FailoverPlan& plan = b.plans[c * shards + j];
+            plan = engine_->PlanFailover(
+                j, std::min(db, b.members.size() - c * db), dopt);
             shard_extra += plan.extra_ns;
           }
           extra = std::max(extra, shard_extra);
-          if (plan.failed_attempts > 0 || plan.shed) {
-            FailoverNote note;
-            note.shard = static_cast<uint32_t>(j);
-            note.serving_replica = plan.serving_replica;
-            note.failed_attempts = plan.failed_attempts;
-            note.shed = plan.shed;
-            note.backoff_ns = plan.backoff_ns;
-            b.notes.push_back(note);
-          }
         }
         service += extra;
       }
@@ -399,26 +388,29 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
       replay_ts.Count("degraded_batches", b.dispatch_ns);
     }
     // Recovery telemetry, still inside the deterministic pass: one record
-    // per shard whose ladder fired at this dispatch. Chaos off -> no notes
-    // -> the exports stay byte-identical to the pre-failover server.
-    for (const FailoverNote& note : b.notes) {
-      replay_ts.Count(note.shed ? "failover_shed" : "failover_recovered",
+    // per (chunk, shard) plan that lost its primary path. Execution follows
+    // the same plans, so these totals equal FailoverStats. Chaos off -> no
+    // plans -> the exports stay byte-identical to the pre-failover server.
+    for (size_t p = 0; p < b.plans.size(); ++p) {
+      const FailoverPlan& plan = b.plans[p];
+      if (!plan.Injected()) continue;
+      replay_ts.Count(plan.shed ? "failover_shed" : "failover_recovered",
                       b.dispatch_ns);
-      if (note.backoff_ns > 0) {
+      if (plan.backoff_ns > 0) {
         replay_ts.Observe("failover_backoff_ns", b.dispatch_ns,
-                          static_cast<double>(note.backoff_ns));
+                          static_cast<double>(plan.backoff_ns));
       }
       if (replay_events.enabled()) {
         obs::QueryEvent ev;
         ev.kind = obs::QueryEvent::Kind::kFailover;
         ev.batch_id = bi;
         ev.dispatch_ns = b.dispatch_ns;
-        ev.shard = static_cast<int32_t>(note.shard);
-        ev.replica = note.serving_replica;
-        ev.failed_attempts = note.failed_attempts;
-        ev.shed = note.shed;
-        ev.backoff_ns = note.backoff_ns;
-        ev.status = note.shed ? "SHED" : "RECOVERED";
+        ev.shard = static_cast<int32_t>(p % engine_->shards());
+        ev.replica = plan.serving_replica;
+        ev.failed_attempts = plan.failed_attempts;
+        ev.shed = plan.shed;
+        ev.backoff_ns = plan.backoff_ns;
+        ev.status = plan.shed ? "SHED" : "RECOVERED";
         replay_events.AppendAlways(ev);
       }
     }
@@ -463,11 +455,11 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
   //
   // The sequence is fixed; workers claim whole dispatches (chunk = 1).
   // Everything a worker accumulates is slot-local and merged in slot
-  // order, and the per-dispatch work depends only on the dispatch itself —
-  // so results, traffic and modeled pim_ns are bit-identical for every
+  // order, and the per-dispatch work depends only on the dispatch itself
+  // and the failover plans phase 1 stored with it — so results, traffic,
+  // modeled pim_ns and FailoverStats are bit-identical for every
   // scheduler_threads (see DESIGN.md "Host-side parallelism").
   engine_->ResetOnlineStats();
-  engine_->ResetReplicaHealth();
   traffic::AggregateScope traffic_scope;
   const double device_ns_per_query =
       obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
@@ -494,6 +486,7 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
           dopt.now_ns = b.dispatch_ns;
           dopt.slack_on_exhaustion = b.degraded;
           dopt.deadline_ns = options_.batch_deadline_ns;
+          dopt.plans = b.plans;
           RunDispatch(s.qbuf, b.members, device_ns_per_query, dopt, &s);
           if (!s.status.ok()) break;
           for (size_t m = 0; m < b.members.size(); ++m) {

@@ -254,11 +254,13 @@ class PimServer : public MutationListener {
   PimServer() = default;
 
   /// Executes one formed dispatch: one engine RunQueryBatch per
-  /// device_batch chunk, then the host filter-and-refine pipeline per
-  /// query — StandardPimKnn::Search's bound fill, RefineInOrder walk and
-  /// exact-score step, so a served query's neighbours, traffic and modeled
-  /// stats are identical to the offline path. Fills s->neighbors[0..members). `ids` labels
-  /// the per-query trace spans.
+  /// device_batch chunk (given that chunk's slice of dispatch.plans when
+  /// the caller walked the ladders), then the host filter-and-refine
+  /// pipeline per query — StandardPimKnn::Search's bound fill,
+  /// RefineInOrder walk and exact-score step, so a served query's
+  /// neighbours, traffic and modeled stats are identical to the offline
+  /// path. Fills s->neighbors[0..members). `ids` labels the per-query
+  /// trace spans.
   void RunDispatch(std::span<const float> qbuf,
                    const std::vector<PendingQuery>& members,
                    double device_ns_per_query,

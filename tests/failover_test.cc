@@ -7,6 +7,7 @@
 // (injected == recovered + shed).
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -461,11 +462,14 @@ TEST(FailoverLadderTest, ReplicasAreBitTransparentWithoutFaults) {
   EXPECT_EQ(fleet->OfflineNs(), f.clean->OfflineNs());
 }
 
-// The serve virtual clock prices each dispatch with PlanFailover while the
-// execution pass walks the ladder for real: with strike state cleared
-// before every dispatch, the plan must name the replica that actually
-// served, the failed attempts, the backoff and the shed decision — for
-// recoveries, full sheds, link outages and deadline-priced sheds alike.
+// The serve virtual clock walks each dispatch's ladders with PlanFailover
+// and execution follows those plans. Over a dispatch sequence whose strike
+// ledger carries from one dispatch to the next, a fleet handed the plans
+// must execute exactly what they name — the serving replica, the failed
+// attempts, the backoff, the strikes and the shed decision — and must end
+// every dispatch in the same state as a twin fleet that walks inline, for
+// recoveries, struck-out skips, full sheds, link outages and
+// deadline-priced sheds alike.
 TEST(FailoverLadderTest, PlanMatchesExecutedLadder) {
   const FailoverFixture f;
   const std::vector<ChaosEvent> events = {
@@ -473,15 +477,20 @@ TEST(FailoverLadderTest, PlanMatchesExecutedLadder) {
       Death(2, 1, 50),
       ChaosEvent{400, 600, ChaosEventKind::kLinkFault, 2, 0}};
   bool any_recovered = false;
+  bool any_skipped = false;
   bool any_shed = false;
   bool any_deadline_shed = false;
   for (int replicas : {2, 3}) {
     auto built = f.BuildFleet(replicas);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const auto fleet = std::move(built).value();
+    auto twin_built = f.BuildFleet(replicas);
+    ASSERT_TRUE(twin_built.ok()) << twin_built.status().ToString();
+    const auto twin = std::move(twin_built).value();
     const auto schedule = ChaosSchedule::FromEvents(
         events, 3, static_cast<uint32_t>(replicas));
     fleet->set_chaos(&schedule);
+    twin->set_chaos(&schedule);
 
     ShardedPimEngine::QueryScratch scratch;
     ShardedPimEngine::QueryHandleBatch handle;
@@ -493,13 +502,19 @@ TEST(FailoverLadderTest, PlanMatchesExecutedLadder) {
         ShardedPimEngine::DispatchOptions dispatch;
         dispatch.now_ns = now;
         dispatch.deadline_ns = deadline;
-        fleet->ResetReplicaHealth();
         fleet->ResetOnlineStats();
+        twin->ResetOnlineStats();
         std::vector<ShardedPimEngine::FailoverPlan> plans;
         for (size_t j = 0; j < fleet->shards(); ++j) {
           plans.push_back(
               fleet->PlanFailover(j, f.queries.rows(), dispatch));
         }
+        ASSERT_TRUE(twin->RunQueryBatch(f.Span(), f.queries.rows(), &scratch,
+                                        &handle, dispatch)
+                        .ok())
+            << label;
+        f.ExpectBoundsIdentical(*twin, handle, label + " inline");
+        dispatch.plans = plans;
         ASSERT_TRUE(fleet
                         ->RunQueryBatch(f.Span(), f.queries.rows(), &scratch,
                                         &handle, dispatch)
@@ -519,19 +534,36 @@ TEST(FailoverLadderTest, PlanMatchesExecutedLadder) {
           EXPECT_EQ(fo.attempts_failed,
                     static_cast<uint64_t>(plan.failed_attempts))
               << at;
+          EXPECT_EQ(fo.strikes, static_cast<uint64_t>(plan.strikes)) << at;
+          EXPECT_EQ(fo.struck_out, static_cast<uint64_t>(plan.struck_out))
+              << at;
+          EXPECT_EQ(fo.injected, plan.Injected() ? 1u : 0u) << at;
           EXPECT_EQ(fo.backoff_ns, plan.backoff_ns) << at;
           EXPECT_EQ(fo.shed, plan.shed ? 1u : 0u) << at;
           EXPECT_NEAR(fo.failover_ns, plan.extra_ns,
                       1e-9 * (1.0 + plan.extra_ns))
               << at;
+          // The inline walk took the same steps on the twin's ledger.
+          EXPECT_EQ(twin->ShardHealthSnapshot(j).failover.ToString(),
+                    fo.ToString())
+              << at;
+          EXPECT_EQ(twin->serving_replica(j), fleet->serving_replica(j))
+              << at;
+          for (int r = 0; r < replicas; ++r) {
+            EXPECT_EQ(twin->replica_strikes(j, r),
+                      fleet->replica_strikes(j, r))
+                << at << " replica=" << r;
+            EXPECT_EQ(twin->replica_out(j, r), fleet->replica_out(j, r))
+                << at << " replica=" << r;
+          }
           attempts_failed += static_cast<uint64_t>(plan.failed_attempts);
           backoff_ns += plan.backoff_ns;
           shed += plan.shed ? 1 : 0;
           any_recovered =
               any_recovered || (plan.failed_attempts > 0 && !plan.shed);
+          any_skipped = any_skipped || plan.skipped > 0;
           any_shed = any_shed || plan.shed;
-          any_deadline_shed = any_deadline_shed ||
-                              (plan.shed && plan.failed_attempts < replicas);
+          any_deadline_shed = any_deadline_shed || plan.deadline_shed;
         }
         const FailoverStats total = fleet->FleetStats().failover;
         EXPECT_EQ(total.attempts_failed, attempts_failed) << label;
@@ -542,8 +574,10 @@ TEST(FailoverLadderTest, PlanMatchesExecutedLadder) {
     }
   }
   // The schedule exercises every rung: recovery on a later replica, a
-  // full shed, and a shed priced out by the ladder deadline.
+  // replica struck out by earlier dispatches and skipped, a full shed,
+  // and a shed priced out by the ladder deadline.
   EXPECT_TRUE(any_recovered);
+  EXPECT_TRUE(any_skipped);
   EXPECT_TRUE(any_shed);
   EXPECT_TRUE(any_deadline_shed);
 }
@@ -661,10 +695,46 @@ serve::ReplayOutput MustReplay(serve::PimServer& server,
   return *std::move(output);
 }
 
+// Sum of field `field` over every point of series `name` in a
+// pimine.obs.timeseries.v1 document (counter points are [w, count, rate],
+// histogram points [w, count, sum, max, p50, p99]); 0 when absent.
+uint64_t SeriesTotal(const std::string& json, const std::string& name,
+                     size_t field) {
+  size_t pos = json.find("\"" + name + "\": {");
+  if (pos == std::string::npos) return 0;
+  pos = json.find("\"points\": [", pos) + 11;
+  const size_t end = json.find("]}", pos);
+  uint64_t total = 0;
+  while ((pos = json.find('[', pos)) < end) {
+    ++pos;
+    for (size_t i = 0; i < field; ++i) pos = json.find(", ", pos) + 2;
+    total += std::strtoull(json.c_str() + pos, nullptr, 10);
+  }
+  return total;
+}
+
+// Everything a replay exports about failover, as text: FleetStats, each
+// shard's health snapshot, the timeseries and the event log.
+std::vector<std::string> FailoverExports(const serve::PimServer& server,
+                                         const serve::ReplayOutput& output) {
+  const ShardedPimEngine& engine = server.engine();
+  std::vector<std::string> exported = {
+      engine.FleetStats().failover.ToString()};
+  for (size_t j = 0; j < engine.shards(); ++j) {
+    exported.push_back(engine.ShardHealthSnapshot(j).failover.ToString());
+  }
+  exported.push_back(output.timeseries_json);
+  exported.push_back(output.events_jsonl);
+  return exported;
+}
+
 // The acceptance matrix: under a seeded device-death schedule, served
 // results are bit-identical to the fault-free run for every
 // replicas x scheduler_threads combination (exact modes: no degraded
-// watermark, so exhaustion escalates host-exact).
+// watermark, so exhaustion escalates host-exact). The ladders are walked
+// once per dispatch in dispatch order, so the failover accounting, the
+// per-shard health and the replay telemetry are byte-identical across
+// thread counts too, and the telemetry totals equal the counters.
 TEST(FailoverServeTest, ChaosReplayMatrixBitIdenticalToFaultFree) {
   const serve::ArrivalTrace trace = ServeTrace();
 
@@ -676,13 +746,15 @@ TEST(FailoverServeTest, ChaosReplayMatrixBitIdenticalToFaultFree) {
 
   bool any_injected = false;
   for (int replicas : {1, 2, 3}) {
-    for (int threads : {1, 4}) {
+    std::vector<std::string> first;
+    for (int threads : {1, 2, 4}) {
       const std::string label = "replicas=" + std::to_string(replicas) +
                                 " threads=" + std::to_string(threads);
       serve::ServeOptions options = ServeBase(threads);
       options.chaos.device_deaths = 3;
       options.chaos.horizon_ns = 50'000;
       options.chaos.seed = 4242;
+      options.event_sample_rate = 1.0;
       auto server = serve::PimServer::Build(
           ServeData(), Distance::kEuclidean, ServeEngine(replicas), options);
       ASSERT_TRUE(server.ok()) << label << ": " << server.status().ToString();
@@ -697,9 +769,34 @@ TEST(FailoverServeTest, ChaosReplayMatrixBitIdenticalToFaultFree) {
         ASSERT_EQ(output.results[i].neighbors, clean.results[i].neighbors)
             << label << " query " << i;
       }
-      const FailoverStats fo = (*server)->engine().FleetStats().failover;
+      const ShardedPimEngine& engine = (*server)->engine();
+      const FailoverStats fo = engine.FleetStats().failover;
       EXPECT_TRUE(fo.Balanced()) << label << ": " << fo.ToString();
       any_injected = any_injected || fo.injected > 0;
+
+      // The telemetry is written from the plans execution follows.
+      const std::string& ts = output.timeseries_json;
+      ASSERT_NE(ts.find("\"oldest_window\": 0,"), std::string::npos) << ts;
+      EXPECT_EQ(SeriesTotal(ts, "failover_recovered", 1), fo.recovered)
+          << label;
+      EXPECT_EQ(SeriesTotal(ts, "failover_shed", 1), fo.shed) << label;
+      EXPECT_EQ(SeriesTotal(ts, "failover_backoff_ns", 2), fo.backoff_ns)
+          << label;
+
+      const std::vector<std::string> exported =
+          FailoverExports(**server, output);
+      // A second replay on the same server starts from a healthy ledger.
+      EXPECT_EQ(FailoverExports(**server, MustReplay(**server, trace)),
+                exported)
+          << label;
+      if (first.empty()) {
+        first = exported;
+        continue;
+      }
+      ASSERT_EQ(exported.size(), first.size()) << label;
+      for (size_t e = 0; e < exported.size(); ++e) {
+        EXPECT_EQ(exported[e], first[e]) << label << " export " << e;
+      }
     }
   }
   // The schedule actually disturbed at least one configuration — the

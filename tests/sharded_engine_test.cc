@@ -360,7 +360,9 @@ TEST(ShardedEngineTest, ExactSumTreeMergeEqualsFlatSum) {
 // escalated to a host-exact recompute of only that shard: the fleet run
 // succeeds, bounds stay bit-identical to the fault-free fleet, and the
 // fail-over is visible in the fleet stats. With failover disabled the
-// fault propagates instead.
+// fault propagates instead. With replicas the data-plane fault is not
+// re-walked: it counts as one failed attempt on the planned replica (the
+// primary) and the op sheds.
 TEST(ShardedEngineTest, FailedShardEscalatesToHostRecompute) {
   const size_t n = 90;
   const size_t d = 16;
@@ -376,40 +378,52 @@ TEST(ShardedEngineTest, FailedShardEscalatesToHostRecompute) {
   ShardedPimEngine::QueryHandleBatch clean_run;
   ASSERT_TRUE(RunAll(*clean, queries, &clean_run).ok());
 
-  EngineOptions faulty_options = clean_options;
-  faulty_options.fault_config.transient_rate = 0.2;  // every op faults.
-  faulty_options.recovery.verify_mode = VerifyMode::kFailOp;
-  faulty_options.recovery.max_retries = 0;
-  auto faulty_built =
-      ShardedPimEngine::Build(data, Distance::kEuclidean, faulty_options);
-  ASSERT_TRUE(faulty_built.ok());
-  const auto faulty = std::move(faulty_built).value();
+  for (int replicas : {1, 2}) {
+    const std::string label = "replicas=" + std::to_string(replicas);
+    EngineOptions faulty_options = clean_options;
+    faulty_options.shard.replicas = replicas;
+    faulty_options.fault_config.transient_rate = 0.2;  // every op faults.
+    faulty_options.recovery.verify_mode = VerifyMode::kFailOp;
+    faulty_options.recovery.max_retries = 0;
+    auto faulty_built =
+        ShardedPimEngine::Build(data, Distance::kEuclidean, faulty_options);
+    ASSERT_TRUE(faulty_built.ok()) << label;
+    const auto faulty = std::move(faulty_built).value();
 
-  ShardedPimEngine::QueryHandleBatch run;
-  const Status faulty_status = RunAll(*faulty, queries, &run);
-  ASSERT_TRUE(faulty_status.ok()) << faulty_status.ToString();
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(faulty->BoundFor(run, q, i),
-                clean->BoundFor(clean_run, q, i))
-          << "q=" << q << " i=" << i;
+    ShardedPimEngine::QueryHandleBatch run;
+    const Status faulty_status = RunAll(*faulty, queries, &run);
+    ASSERT_TRUE(faulty_status.ok()) << label << ": " << faulty_status.ToString();
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(faulty->BoundFor(run, q, i),
+                  clean->BoundFor(clean_run, q, i))
+            << label << " q=" << q << " i=" << i;
+      }
     }
-  }
-  const FleetRunStats stats = faulty->FleetStats();
-  EXPECT_GT(stats.failovers, 0u);
-  EXPECT_GT(stats.failed_over_queries, 0u);
-  EXPECT_GT(faulty->FaultStatsTotal().escalated_to_host, 0u);
+    const FleetRunStats stats = faulty->FleetStats();
+    EXPECT_GT(stats.failovers, 0u) << label;
+    EXPECT_GT(stats.failed_over_queries, 0u) << label;
+    EXPECT_GT(faulty->FaultStatsTotal().escalated_to_host, 0u) << label;
+    const FailoverStats& fo = stats.failover;
+    EXPECT_EQ(fo.shed, stats.failovers) << label << ": " << fo.ToString();
+    EXPECT_EQ(fo.device_faults, fo.shed) << label << ": " << fo.ToString();
+    EXPECT_EQ(fo.attempts_failed, fo.device_faults) << label;
+    EXPECT_EQ(fo.recovered, 0u) << label;
+    EXPECT_EQ(fo.strikes, 0u) << label;
+    EXPECT_EQ(fo.backoff_ns, 0u) << label;
+    EXPECT_TRUE(fo.Balanced()) << label << ": " << fo.ToString();
 
-  EngineOptions no_failover = faulty_options;
-  no_failover.shard.failover = false;
-  auto strict_built =
-      ShardedPimEngine::Build(data, Distance::kEuclidean, no_failover);
-  ASSERT_TRUE(strict_built.ok());
-  const auto strict = std::move(strict_built).value();
-  ShardedPimEngine::QueryHandleBatch strict_run;
-  const Status strict_status = RunAll(*strict, queries, &strict_run);
-  ASSERT_FALSE(strict_status.ok());
-  EXPECT_EQ(strict_status.code(), StatusCode::kDeviceFault);
+    EngineOptions no_failover = faulty_options;
+    no_failover.shard.failover = false;
+    auto strict_built =
+        ShardedPimEngine::Build(data, Distance::kEuclidean, no_failover);
+    ASSERT_TRUE(strict_built.ok()) << label;
+    const auto strict = std::move(strict_built).value();
+    ShardedPimEngine::QueryHandleBatch strict_run;
+    const Status strict_status = RunAll(*strict, queries, &strict_run);
+    ASSERT_FALSE(strict_status.ok()) << label;
+    EXPECT_EQ(strict_status.code(), StatusCode::kDeviceFault) << label;
+  }
 }
 
 // ChargeTreeReduction charges the critical path: ceil(log2 M) messages of
