@@ -4,8 +4,8 @@
 //
 // `bench_micro_pim --batch_sweep [n] [s]` switches to a standalone
 // batched-vs-single sweep (Q in {1, 4, 16, 64}) that emits one JSON
-// document in the bench_micro_batch_kernels shape, with built-in
-// bit-identity and modeled-stats self-checks. Default n=4096, s=256.
+// document with built-in bit-identity and modeled-stats self-checks.
+// Default n=4096, s=256.
 //
 // `bench_micro_pim --fault_sweep [n] [s]` sweeps the ReRAM fault rate over
 // {0, 1e-4, 1e-3, 1e-2} (stuck cells + transients, host-exact recovery) and

@@ -4,7 +4,12 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "core/similarity_lanes.h"
 #include "sim/traffic.h"
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#include <immintrin.h>
+#endif
 
 namespace pimine {
 
@@ -118,131 +123,191 @@ double PearsonCorrelation(std::span<const float> p, std::span<const float> q) {
   return denom > 0.0 ? cov / denom : 0.0;
 }
 
+namespace lanes {
 namespace {
 
-// Four-way unrolled accumulation over one candidate row. The independent
-// accumulators break the serial dependence of a single running sum, which
-// is what lets the auto-vectorizer keep several SIMD lanes busy.
-template <typename StepFn>
-inline void UnrolledRowLoop(size_t d, const StepFn& step) {
-  size_t j = 0;
-  for (; j + 4 <= d; j += 4) {
-    step(j, 0);
-    step(j + 1, 1);
-    step(j + 2, 2);
-    step(j + 3, 3);
+// Every path below computes, per center c, exactly the scalar kernel's
+// sequence: acc = 0; for j ascending: diff = double(p_j) - double(c_j);
+// acc = acc + diff * diff (rounded multiply, then rounded add; the build
+// pins -ffp-contract=off so no FMA fuses them); out = sqrt(acc). Lanes only
+// run several centers' sequences side by side, so every ISA produces the
+// same bits.
+
+// `W` centers from c0 in portable code (a W-lane block the compiler may
+// vectorize without reassociating any lane's sum).
+template <size_t W>
+void PortableBlock(const float* p, size_t d, const float* centers_t, size_t k,
+                   size_t c0, double* out) {
+  double acc[W] = {};
+  for (size_t j = 0; j < d; ++j) {
+    const double pj = p[j];
+    const float* row = centers_t + j * k + c0;
+    for (size_t l = 0; l < W; ++l) {
+      const double diff = pj - row[l];
+      acc[l] += diff * diff;
+    }
   }
-  for (; j < d; ++j) step(j, 0);
+  for (size_t l = 0; l < W; ++l) out[c0 + l] = std::sqrt(acc[l]);
+}
+
+// Centers [c0, k) in portable code.
+void PortableFrom(const float* p, size_t d, const float* centers_t, size_t k,
+                  size_t c0, double* out) {
+  size_t c = c0;
+  for (; c + 8 <= k; c += 8) PortableBlock<8>(p, d, centers_t, k, c, out);
+  for (; c < k; ++c) PortableBlock<1>(p, d, centers_t, k, c, out);
+}
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define PIMINE_HAVE_X86_LANES 1
+
+// Four accumulators of four lanes: 16 centers per pass over the dimensions.
+__attribute__((target("avx2"))) void Avx2(const float* p, size_t d,
+                                          const float* centers_t, size_t k,
+                                          double* out) {
+  size_t c = 0;
+  for (; c + 16 <= k; c += 16) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    for (size_t j = 0; j < d; ++j) {
+      const __m256d pj = _mm256_set1_pd(p[j]);
+      const float* row = centers_t + j * k + c;
+      const __m256d d0 = _mm256_sub_pd(pj, _mm256_cvtps_pd(_mm_loadu_ps(row)));
+      const __m256d d1 =
+          _mm256_sub_pd(pj, _mm256_cvtps_pd(_mm_loadu_ps(row + 4)));
+      const __m256d d2 =
+          _mm256_sub_pd(pj, _mm256_cvtps_pd(_mm_loadu_ps(row + 8)));
+      const __m256d d3 =
+          _mm256_sub_pd(pj, _mm256_cvtps_pd(_mm_loadu_ps(row + 12)));
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
+    }
+    _mm256_storeu_pd(out + c, _mm256_sqrt_pd(a0));
+    _mm256_storeu_pd(out + c + 4, _mm256_sqrt_pd(a1));
+    _mm256_storeu_pd(out + c + 8, _mm256_sqrt_pd(a2));
+    _mm256_storeu_pd(out + c + 12, _mm256_sqrt_pd(a3));
+  }
+  for (; c + 4 <= k; c += 4) {
+    __m256d a = _mm256_setzero_pd();
+    for (size_t j = 0; j < d; ++j) {
+      const __m256d diff =
+          _mm256_sub_pd(_mm256_set1_pd(p[j]),
+                        _mm256_cvtps_pd(_mm_loadu_ps(centers_t + j * k + c)));
+      a = _mm256_add_pd(a, _mm256_mul_pd(diff, diff));
+    }
+    _mm256_storeu_pd(out + c, _mm256_sqrt_pd(a));
+  }
+  PortableFrom(p, d, centers_t, k, c, out);
+}
+
+// Four accumulators of eight lanes: 32 centers per pass. GCC 12 reports
+// the intrinsics' deliberately undefined pass-through operand
+// (_mm512_undefined_pd) as maybe-uninitialized; the full mask never reads it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+__attribute__((target("avx512f"))) void Avx512(const float* p, size_t d,
+                                               const float* centers_t,
+                                               size_t k, double* out) {
+  size_t c = 0;
+  for (; c + 32 <= k; c += 32) {
+    __m512d a0 = _mm512_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    for (size_t j = 0; j < d; ++j) {
+      const __m512d pj = _mm512_set1_pd(p[j]);
+      const float* row = centers_t + j * k + c;
+      const __m512d d0 =
+          _mm512_sub_pd(pj, _mm512_cvtps_pd(_mm256_loadu_ps(row)));
+      const __m512d d1 =
+          _mm512_sub_pd(pj, _mm512_cvtps_pd(_mm256_loadu_ps(row + 8)));
+      const __m512d d2 =
+          _mm512_sub_pd(pj, _mm512_cvtps_pd(_mm256_loadu_ps(row + 16)));
+      const __m512d d3 =
+          _mm512_sub_pd(pj, _mm512_cvtps_pd(_mm256_loadu_ps(row + 24)));
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(d0, d0));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(d1, d1));
+      a2 = _mm512_add_pd(a2, _mm512_mul_pd(d2, d2));
+      a3 = _mm512_add_pd(a3, _mm512_mul_pd(d3, d3));
+    }
+    _mm512_storeu_pd(out + c, _mm512_sqrt_pd(a0));
+    _mm512_storeu_pd(out + c + 8, _mm512_sqrt_pd(a1));
+    _mm512_storeu_pd(out + c + 16, _mm512_sqrt_pd(a2));
+    _mm512_storeu_pd(out + c + 24, _mm512_sqrt_pd(a3));
+  }
+  for (; c + 8 <= k; c += 8) {
+    __m512d a = _mm512_setzero_pd();
+    for (size_t j = 0; j < d; ++j) {
+      const __m512d diff = _mm512_sub_pd(
+          _mm512_set1_pd(p[j]),
+          _mm512_cvtps_pd(_mm256_loadu_ps(centers_t + j * k + c)));
+      a = _mm512_add_pd(a, _mm512_mul_pd(diff, diff));
+    }
+    _mm512_storeu_pd(out + c, _mm512_sqrt_pd(a));
+  }
+  PortableFrom(p, d, centers_t, k, c, out);
+}
+#pragma GCC diagnostic pop
+#endif
+
+}  // namespace
+
+bool Supported(Isa isa) {
+  switch (isa) {
+    case Isa::kPortable:
+      return true;
+#if defined(PIMINE_HAVE_X86_LANES)
+    case Isa::kAvx2:
+      return __builtin_cpu_supports("avx2") != 0;
+    case Isa::kAvx512:
+      return __builtin_cpu_supports("avx512f") != 0;
+#else
+    case Isa::kAvx2:
+    case Isa::kAvx512:
+      return false;
+#endif
+  }
+  return false;
+}
+
+Isa Best() {
+  static const Isa best = Supported(Isa::kAvx512) ? Isa::kAvx512
+                          : Supported(Isa::kAvx2) ? Isa::kAvx2
+                                                  : Isa::kPortable;
+  return best;
+}
+
+void EuclideanToCenters(Isa isa, std::span<const float> p,
+                        const float* centers_t, size_t k, double* out) {
+  PIMINE_DCHECK(Supported(isa));
+  switch (isa) {
+#if defined(PIMINE_HAVE_X86_LANES)
+    case Isa::kAvx512:
+      return Avx512(p.data(), p.size(), centers_t, k, out);
+    case Isa::kAvx2:
+      return Avx2(p.data(), p.size(), centers_t, k, out);
+#endif
+    default:
+      return PortableFrom(p.data(), p.size(), centers_t, k, 0, out);
+  }
+}
+
+}  // namespace lanes
+
+namespace {
+
+// Charges `pairs` real Euclidean distances over `d` dimensions: per pair,
+// what SquaredEuclidean charges plus one long op for the sqrt.
+void ChargeEuclidean(size_t d, size_t pairs) {
+  traffic::CountRead(pairs * d * sizeof(float));
+  traffic::CountArithmetic(pairs * 3 * d);
+  traffic::CountLongOps(pairs);
 }
 
 }  // namespace
 
-void SquaredEuclideanBatch(const float* rows, size_t num_rows,
-                           std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  const float* qp = q.data();
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      const double diff = static_cast<double>(row[j]) - qp[j];
-      acc[lane] += diff * diff;
-    });
-    out[r] = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(3 * num_rows * d);
-}
-
-void DotProductBatch(const float* rows, size_t num_rows,
-                     std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  const float* qp = q.data();
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      acc[lane] += static_cast<double>(row[j]) * qp[j];
-    });
-    out[r] = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(2 * num_rows * d);
-}
-
-void CosineSimilarityBatch(const float* rows, size_t num_rows,
-                           std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  const float* qp = q.data();
-  // |q| is shared by every row of the block; fold its cost into the block's
-  // long-op budget once (the scalar kernel recomputes it per call, but its
-  // traffic charge is per-candidate either way).
-  double norm_q[4] = {0.0, 0.0, 0.0, 0.0};
-  UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-    norm_q[lane] += static_cast<double>(qp[j]) * qp[j];
-  });
-  const double q_norm =
-      std::sqrt((norm_q[0] + norm_q[1]) + (norm_q[2] + norm_q[3]));
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double dot[4] = {0.0, 0.0, 0.0, 0.0};
-    double norm_p[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      const double a = row[j];
-      dot[lane] += a * qp[j];
-      norm_p[lane] += a * a;
-    });
-    const double denom =
-        std::sqrt((norm_p[0] + norm_p[1]) + (norm_p[2] + norm_p[3])) * q_norm;
-    out[r] = denom > 0.0
-                 ? ((dot[0] + dot[1]) + (dot[2] + dot[3])) / denom
-                 : 0.0;
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(6 * num_rows * d);
-  traffic::CountLongOps(2 * num_rows);  // sqrt + division per row.
-}
-
-void PearsonBatch(const float* rows, size_t num_rows,
-                  std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  if (d == 0) {
-    std::fill(out, out + num_rows, 0.0);
-    return;
-  }
-  const float* qp = q.data();
-  double sum_q = 0.0;
-  double sum_qq[4] = {0.0, 0.0, 0.0, 0.0};
-  UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-    sum_q += qp[j];
-    sum_qq[lane] += static_cast<double>(qp[j]) * qp[j];
-  });
-  const double n = static_cast<double>(d);
-  const double var_q =
-      n * ((sum_qq[0] + sum_qq[1]) + (sum_qq[2] + sum_qq[3])) - sum_q * sum_q;
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double sum_p = 0.0;
-    double sum_pq[4] = {0.0, 0.0, 0.0, 0.0};
-    double sum_pp[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      const double a = row[j];
-      sum_p += a;
-      sum_pq[lane] += a * qp[j];
-      sum_pp[lane] += a * a;
-    });
-    const double cov =
-        n * ((sum_pq[0] + sum_pq[1]) + (sum_pq[2] + sum_pq[3])) -
-        sum_p * sum_q;
-    const double var_p =
-        n * ((sum_pp[0] + sum_pp[1]) + (sum_pp[2] + sum_pp[3])) -
-        sum_p * sum_p;
-    const double denom = std::sqrt(var_p) * std::sqrt(var_q);
-    out[r] = denom > 0.0 ? cov / denom : 0.0;
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(8 * num_rows * d);
-  traffic::CountLongOps(3 * num_rows);  // two sqrts + division per row.
+void EuclideanToCenters(std::span<const float> p, const float* centers_t,
+                        size_t k, double* out) {
+  lanes::EuclideanToCenters(lanes::Best(), p, centers_t, k, out);
+  ChargeEuclidean(p.size(), k);
 }
 
 }  // namespace pimine

@@ -48,8 +48,10 @@ struct DrakeSteps {
     const auto p = run.data.row(i);
     size_t best_c = 0;
     double best_d = HUGE_VAL;
+    if (filter == nullptr) {
+      ExactToAllCenters(run, i, dist_scratch.data(), result.stats);
+    }
     for (size_t c = 0; c < k; ++c) {
-      double d;
       if (filter != nullptr) {
         ++result.stats.bound_count;
         const double pim_lb = filter->LowerBound(i, c);
@@ -57,15 +59,12 @@ struct DrakeSteps {
           dist_scratch[c] = pim_lb;
           continue;
         }
-      }
-      {
         ScopedFunctionTimer timer(&result.stats.profile, "ED");
-        d = KmeansExactDistance(p, result.centers.row(c));
+        dist_scratch[c] = KmeansExactDistance(p, result.centers.row(c));
         ++result.stats.exact_count;
       }
-      dist_scratch[c] = d;
-      if (d < best_d) {
-        best_d = d;
+      if (dist_scratch[c] < best_d) {
+        best_d = dist_scratch[c];
         best_c = c;
       }
     }

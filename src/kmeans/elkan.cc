@@ -37,21 +37,33 @@ struct ElkanSteps {
             const auto p = data.row(i);
             size_t best_c = 0;
             double best_d = HUGE_VAL;
-            for (size_t c = 0; c < k; ++c) {
-              double d;
-              if (filter != nullptr && filter->LowerBound(i, c) >= best_d) {
-                ++slot.bound_count;
-                d = filter->LowerBound(i, c);  // valid lower bound kept in lb.
-              } else {
-                ScopedFunctionTimer timer(&slot.profile, "ED");
-                d = KmeansExactDistance(p, result.centers.row(c));
-                ++slot.exact_count;
-                if (d < best_d) {
-                  best_d = d;
+            if (filter == nullptr) {
+              // Every bound starts exact; pick the closest in index order.
+              double* dist = lower.data() + i * k;
+              ExactToAllCenters(run, i, dist, slot);
+              for (size_t c = 0; c < k; ++c) {
+                if (dist[c] < best_d) {
+                  best_d = dist[c];
                   best_c = c;
                 }
               }
-              lower[i * k + c] = d;
+            } else {
+              for (size_t c = 0; c < k; ++c) {
+                double d;
+                if (filter->LowerBound(i, c) >= best_d) {
+                  ++slot.bound_count;
+                  d = filter->LowerBound(i, c);  // valid lower bound in lb.
+                } else {
+                  ScopedFunctionTimer timer(&slot.profile, "ED");
+                  d = KmeansExactDistance(p, result.centers.row(c));
+                  ++slot.exact_count;
+                  if (d < best_d) {
+                    best_d = d;
+                    best_c = c;
+                  }
+                }
+                lower[i * k + c] = d;
+              }
             }
             result.assignments[i] = static_cast<int32_t>(best_c);
             upper[i] = best_d;

@@ -29,6 +29,10 @@ struct HamerlySteps {
     double min1 = HUGE_VAL;  // exact distance to the closest center.
     double min2 = HUGE_VAL;  // lower bound on the second-closest distance.
     size_t best_c = 0;
+    if (filter == nullptr) {
+      slot.distances.resize(run.k);
+      ExactToAllCenters(run, i, slot.distances.data(), slot);
+    }
     for (size_t c = 0; c < run.k; ++c) {
       double value;
       if (filter != nullptr) {
@@ -42,9 +46,7 @@ struct HamerlySteps {
           ++slot.exact_count;
         }
       } else {
-        ScopedFunctionTimer timer(&slot.profile, "ED");
-        value = KmeansExactDistance(p, result.centers.row(c));
-        ++slot.exact_count;
+        value = slot.distances[c];
       }
       if (value < min1) {
         min2 = min1;

@@ -8,10 +8,12 @@
 #include <string_view>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/mutable_dataset.h"
+#include "core/similarity.h"
 #include "core/sharded_engine.h"
 #include "data/matrix.h"
 #include "obs/obs.h"
@@ -90,6 +92,7 @@ struct AssignSlot {
   uint64_t exact_count = 0;
   uint64_t bound_count = 0;
   FunctionProfiler profile;
+  std::vector<double> distances;  // k-wide scratch for ExactToAllCenters.
 };
 
 /// Runs `assign_point(i, slot_index, slot)` for every point in [0,
@@ -238,7 +241,23 @@ struct KmeansRun {
   KmeansResult result;
   /// Real distance each center moved in the last update step.
   std::vector<double> moved;
+  /// Host runs only: result.centers transposed to d x k (centers_t[j * k +
+  /// c] is coordinate j of center c), refreshed before every assign pass.
+  std::vector<float> centers_t;
 };
+
+/// out[c] = KmeansExactDistance(point i, center c) for every center, bit
+/// for bit, computed in SIMD lanes over run.centers_t (host runs only).
+/// Counts k exact distances and times them as "ED" in `counters` (an
+/// AssignSlot, or RunStats for serial passes).
+template <typename Counters>
+void ExactToAllCenters(const KmeansRun& run, size_t i, double* out,
+                       Counters& counters) {
+  PIMINE_DCHECK(run.filter == nullptr);
+  ScopedFunctionTimer timer(&counters.profile, "ED");
+  EuclideanToCenters(run.data.row(i), run.centers_t.data(), run.k, out);
+  counters.exact_count += run.k;
+}
 
 /// The k-means iteration, written once for every algorithm: each PIM
 /// variant is the exact algorithm with the LB_PIM-ED filter in front of its
@@ -271,7 +290,7 @@ Result<KmeansResult> RunKmeans(const FloatMatrix& data,
   if (filter != nullptr) filter->set_fanout_policy(options.exec);
 
   KmeansRun run{data, options, filter, data.rows(),
-                static_cast<size_t>(options.k), {}, {}};
+                static_cast<size_t>(options.k), {}, {}, {}};
   KmeansResult& result = run.result;
   result.centers = InitCenters(data, options.k, options.seed);
   result.assignments.assign(run.n, 0);
@@ -294,6 +313,18 @@ Result<KmeansResult> RunKmeans(const FloatMatrix& data,
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
       PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
           result.centers, std::max<size_t>(1, options.exec.device_batch)));
+    }
+
+    if (filter == nullptr) {
+      // Lane kernels read each dimension's k coordinates contiguously.
+      const size_t d = data.cols();
+      run.centers_t.resize(d * run.k);
+      for (size_t c = 0; c < run.k; ++c) {
+        const auto center = result.centers.row(c);
+        for (size_t j = 0; j < d; ++j) {
+          run.centers_t[j * run.k + c] = center[j];
+        }
+      }
     }
 
     before = result.assignments;

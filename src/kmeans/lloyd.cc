@@ -28,15 +28,13 @@ struct LloydSteps {
           size_t best_c = start;
           double best_d;
           if (filter == nullptr) {
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            best_d = KmeansExactDistance(p, result.centers.row(start));
-            ++slot.exact_count;
+            slot.distances.resize(k);
+            double* dist = slot.distances.data();
+            ExactToAllCenters(run, i, dist, slot);
+            best_d = dist[start];
             for (size_t c = 0; c < k; ++c) {
-              if (c == start) continue;
-              const double d = KmeansExactDistance(p, result.centers.row(c));
-              ++slot.exact_count;
-              if (d < best_d) {
-                best_d = d;
+              if (c != start && dist[c] < best_d) {
+                best_d = dist[c];
                 best_c = c;
               }
             }

@@ -84,6 +84,9 @@ struct YinyangSteps {
             const auto p = data.row(i);
             size_t best_c = 0;
             double best_d = HUGE_VAL;
+            if (filter == nullptr) {
+              ExactToAllCenters(run, i, dist.data(), slot);
+            }
             for (size_t c = 0; c < k; ++c) {
               if (filter != nullptr) {
                 ++slot.bound_count;
@@ -92,10 +95,10 @@ struct YinyangSteps {
                   dist[c] = pim_lb;
                   continue;
                 }
+                ScopedFunctionTimer timer(&slot.profile, "ED");
+                dist[c] = KmeansExactDistance(p, result.centers.row(c));
+                ++slot.exact_count;
               }
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              dist[c] = KmeansExactDistance(p, result.centers.row(c));
-              ++slot.exact_count;
               if (dist[c] < best_d) {
                 best_d = dist[c];
                 best_c = c;

@@ -36,7 +36,6 @@ Result<KnnRunResult> StandardKnn::Search(const FloatMatrix& queries, int k) {
 
   const ExecPolicy& policy = exec_policy_;
   const size_t n = data_->rows();
-  const size_t d = data_->cols();
   const size_t block = std::max<size_t>(1, policy.block_size);
   // Per-worker distance-block scratch, allocated once per Search (not per
   // query) and reused across every query the worker claims.
@@ -54,21 +53,15 @@ Result<KnnRunResult> StandardKnn::Search(const FloatMatrix& queries, int k) {
           // only the distance function itself; top-k maintenance is charged
           // to the (unattributed) remainder, like the paper's per-function
           // breakdown. The pruning threshold refreshes between blocks,
-          // which keeps early abandoning exact; the blocked kernel computes
-          // full distances instead.
+          // which keeps early abandoning exact.
           for (size_t begin = 0; begin < n; begin += block) {
             const size_t end = std::min(n, begin + block);
             {
               ScopedFunctionTimer timer(&slot.profile, "ED");
-              if (policy.blocked_kernels) {
-                SquaredEuclideanBatch(data_->data() + begin * d, end - begin,
-                                      q, distances.data());
-              } else {
-                const double threshold = topk.threshold();
-                for (size_t i = begin; i < end; ++i) {
-                  distances[i - begin] = SquaredEuclideanEarlyAbandon(
-                      data_->row(i), q, threshold);
-                }
+              const double threshold = topk.threshold();
+              for (size_t i = begin; i < end; ++i) {
+                distances[i - begin] = SquaredEuclideanEarlyAbandon(
+                    data_->row(i), q, threshold);
               }
             }
             for (size_t i = begin; i < end; ++i) {
@@ -80,24 +73,7 @@ Result<KnnRunResult> StandardKnn::Search(const FloatMatrix& queries, int k) {
         } else {
           const bool cosine = distance_ == Distance::kCosine;
           const char* tag = cosine ? "CS" : "PCC";
-          if (policy.blocked_kernels) {
-            for (size_t begin = 0; begin < n; begin += block) {
-              const size_t end = std::min(n, begin + block);
-              {
-                ScopedFunctionTimer timer(&slot.profile, tag);
-                if (cosine) {
-                  CosineSimilarityBatch(data_->data() + begin * d,
-                                        end - begin, q, distances.data());
-                } else {
-                  PearsonBatch(data_->data() + begin * d, end - begin, q,
-                               distances.data());
-                }
-              }
-              for (size_t i = begin; i < end; ++i) {
-                topk.Push(-distances[i - begin], static_cast<int32_t>(i));
-              }
-            }
-          } else {
+          {
             ScopedFunctionTimer timer(&slot.profile, tag);
             for (size_t i = 0; i < n; ++i) {
               const double sim = cosine ? CosineSimilarity(data_->row(i), q)

@@ -777,6 +777,9 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
   DotProductGemm(data_.data(), n, s, queries.data(), num_queries,
                  out->data());
 
+  const double batch_ns =
+      timing_.BatchDotLatencyNs(static_cast<int64_t>(s), operand_bits_,
+                                static_cast<int64_t>(num_queries));
   FaultStats local;
   if (faults_ != nullptr) {
     PIMINE_RETURN_IF_ERROR(
@@ -804,9 +807,15 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
       buffer_.Deposit(query_bytes);
       buffer_.Drain(query_bytes);  // host consumes each result window.
     }
-    stats_.pipelined_ns +=
-        timing_.BatchDotLatencyNs(static_cast<int64_t>(s), operand_bits_,
-                                  static_cast<int64_t>(num_queries));
+    // Batches of one latency sum by repeated addition, which their order
+    // cannot change; the distinct latencies then add in ascending order.
+    // So pipelined_ns is a pure function of the batches issued, whichever
+    // thread issues them first.
+    pipelined_by_latency_[batch_ns] += batch_ns;
+    stats_.pipelined_ns = 0.0;
+    for (const auto& [latency, sum] : pipelined_by_latency_) {
+      stats_.pipelined_ns += sum;
+    }
     stats_.results_produced += num_queries * n;
     stats_.result_bytes_to_host += num_queries * query_bytes;
     stats_.fault.Merge(local);
@@ -824,9 +833,6 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
       o->metrics().GetCounter("pimine_fault_retries_total").Add(local.retries);
     }
     if (o->trace().options().device_events) {
-      const double batch_ns = timing_.BatchDotLatencyNs(
-          static_cast<int64_t>(s), operand_bits_,
-          static_cast<int64_t>(num_queries));
       o->trace().Complete("device", "dot_batch", obs::kDeviceTrack, batch_ns,
                           "queries", static_cast<int64_t>(num_queries),
                           "vectors", static_cast<int64_t>(n));
@@ -929,6 +935,7 @@ void PimDevice::ResetOnlineStats() {
   stats_.queries_per_batch.clear();
   stats_.compute_ns = 0.0;
   stats_.pipelined_ns = 0.0;
+  pipelined_by_latency_.clear();
   stats_.compute_energy_pj = 0.0;
   stats_.results_produced = 0;
   stats_.result_bytes_to_host = 0;

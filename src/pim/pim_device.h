@@ -299,7 +299,11 @@ class PimDevice {
   std::vector<uint32_t> row_writes_;
   std::vector<uint8_t> worn_;
   PimDeviceStats stats_;
-  /// Guards stats_ and buffer_ against concurrent DotProductAll batches.
+  /// stats_.pipelined_ns by distinct per-batch latency (key), each summed
+  /// over the batches that took it.
+  std::map<double, double> pipelined_by_latency_;
+  /// Guards stats_, pipelined_by_latency_ and buffer_ against concurrent
+  /// DotProductAll batches.
   mutable std::mutex stats_mu_;
 
   // Fault model state (empty / null when fault_config_ is disabled).

@@ -17,15 +17,9 @@ namespace pimine {
 struct ExecPolicy {
   /// Worker threads for the batch. <= 1 executes inline on the caller.
   int num_threads = 1;
-  /// Candidate rows per blocked-kernel call / per parallel work chunk.
+  /// Items per parallel work chunk (and StandardKnn's rows per distance
+  /// block between top-k threshold refreshes).
   size_t block_size = 512;
-  /// Use the SIMD-friendly blocked batch kernels (SquaredEuclideanBatch
-  /// and friends) instead of the scalar per-row kernels where an algorithm
-  /// supports both. Blocked kernels compute full distances (no early
-  /// abandoning) with a different floating-point association, so flipping
-  /// this flag is the one policy change that is *not* bit-identical to the
-  /// default — serial and parallel runs of the *same* flag always are.
-  bool blocked_kernels = false;
   /// Queries per PIM device batch for algorithms that run on a PimEngine:
   /// workers claim whole batches of this many queries and issue one
   /// DotProductBatch (tiled GEMM) per batch instead of one DotProductAll

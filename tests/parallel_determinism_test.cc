@@ -134,59 +134,6 @@ TEST(ParallelDeterminismTest, KnnParallelSearchMatchesSerialExactly) {
   }
 }
 
-// Flipping blocked_kernels changes floating-point association (full
-// distances, multi-accumulator reduction), so its results are only required
-// to be *self*-consistent: serial blocked == parallel blocked, bit for bit,
-// and traffic totals stay exactly those of the scalar path.
-TEST(ParallelDeterminismTest, BlockedKernelsSerialMatchesParallelExactly) {
-  const Workload w = MakeWorkload(400, 37, 7);  // odd d exercises tails.
-  const int k = 5;
-
-  for (Distance distance :
-       {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
-    StandardKnn algorithm(distance);
-    ASSERT_TRUE(algorithm.Prepare(w.data).ok());
-
-    auto scalar = algorithm.Search(w.queries, k);
-    ASSERT_TRUE(scalar.ok());
-
-    ExecPolicy blocked;
-    blocked.blocked_kernels = true;
-    blocked.block_size = 96;
-    algorithm.set_exec_policy(blocked);
-    auto serial_blocked = algorithm.Search(w.queries, k);
-    ASSERT_TRUE(serial_blocked.ok());
-
-    blocked.num_threads = 4;
-    algorithm.set_exec_policy(blocked);
-    auto parallel_blocked = algorithm.Search(w.queries, k);
-    ASSERT_TRUE(parallel_blocked.ok());
-
-    const std::string label =
-        "blocked distance=" + std::to_string(static_cast<int>(distance));
-    ExpectIdenticalKnnRuns(*serial_blocked, *parallel_blocked, label);
-
-    // Same neighbour ids as the scalar path (distances may differ in the
-    // last ulp) and, for ED where the scalar path early-abandons, at least
-    // as much modeled read traffic.
-    for (size_t q = 0; q < scalar->neighbors.size(); ++q) {
-      for (size_t j = 0; j < scalar->neighbors[q].size(); ++j) {
-        EXPECT_EQ(scalar->neighbors[q][j].id,
-                  serial_blocked->neighbors[q][j].id)
-            << label << " query " << q << " rank " << j;
-      }
-    }
-    if (distance == Distance::kEuclidean) {
-      EXPECT_GE(serial_blocked->stats.traffic.bytes_from_memory,
-                scalar->stats.traffic.bytes_from_memory)
-          << label;
-    } else {
-      EXPECT_TRUE(serial_blocked->stats.traffic == scalar->stats.traffic)
-          << label << ": full-scan similarity traffic must not change";
-    }
-  }
-}
-
 void ExpectIdenticalKmeansRuns(const KmeansResult& serial,
                                const KmeansResult& parallel,
                                const std::string& label) {

@@ -4,6 +4,7 @@
 // and a pipelined batch latency that follows the analytic
 // stage_ns * (stages + Q - 1) formula with Q = 1 reducing to Table 5.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -185,6 +186,34 @@ TEST(PimBatchTest, ModeledStatsInvariantAcrossBatchSizes) {
   EXPECT_LT(stats[1].pipelined_ns, stats[0].pipelined_ns);
   EXPECT_DOUBLE_EQ(stats[2].pipelined_ns,
                    timing.BatchDotLatencyNs(s, 32, 21));
+}
+
+// Concurrent callers issue a device's batches in any order, so pipelined_ns
+// must depend only on which batches ran: the same multiset of batch sizes in
+// three orders yields the same bits.
+TEST(PimBatchTest, PipelinedNsIndependentOfBatchOrder) {
+  const size_t n = 12, s = 300;
+  const IntMatrix data = RandomIntMatrix(n, s, 1 << 20, 33);
+  std::vector<size_t> sizes;
+  for (int round = 0; round < 6; ++round) {
+    for (size_t q : {1, 2, 3, 5, 7, 11}) sizes.push_back(q);
+  }
+  std::vector<std::vector<size_t>> orders = {sizes, sizes, sizes};
+  std::sort(orders[1].begin(), orders[1].end());
+  std::sort(orders[2].rbegin(), orders[2].rend());
+  std::vector<double> pipelined;
+  for (const std::vector<size_t>& order : orders) {
+    PimDevice device;
+    ASSERT_TRUE(device.ProgramDataset(data).ok());
+    std::vector<uint64_t> out;
+    for (const size_t q : order) {
+      const std::vector<int32_t> queries = RandomQueries(q, s, 1 << 20, q);
+      ASSERT_TRUE(device.DotProductBatch(queries, q, &out).ok());
+    }
+    pipelined.push_back(device.stats().pipelined_ns);
+  }
+  EXPECT_EQ(pipelined[0], pipelined[1]);
+  EXPECT_EQ(pipelined[0], pipelined[2]);
 }
 
 TEST(PimBatchTest, EngineBatchBoundsMatchPerQueryForEveryMode) {

@@ -1,13 +1,18 @@
 #include "core/similarity.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "core/bounds.h"
 #include "core/decompose.h"
 #include "core/segments.h"
-#include "core/bounds.h"
+#include "core/similarity_lanes.h"
+#include "kmeans/kmeans_common.h"
+#include "sim/traffic.h"
 #include "test_helpers.h"
+#include "util/random.h"
 
 namespace pimine {
 namespace {
@@ -73,6 +78,85 @@ TEST(PearsonTest, RangeAndInvariance) {
   EXPECT_NEAR(PearsonCorrelation(p, p), 1.0, 1e-9);
   const std::vector<float> c(64, 0.25f);
   EXPECT_DOUBLE_EQ(PearsonCorrelation(p, c), 0.0);
+}
+
+// Centers and a point with mixed-sign coordinates, signed zeros and large
+// magnitudes (squares near 1e76 still fit a double), so lane results must
+// match the scalar kernel through every rounding step.
+struct LaneCase {
+  std::vector<float> point;
+  FloatMatrix centers;
+  std::vector<float> centers_t;  // d x k.
+};
+
+LaneCase MakeLaneCase(size_t d, size_t k, uint64_t seed) {
+  Rng rng(seed);
+  const auto draw = [&rng]() -> float {
+    switch (rng.NextBounded(8)) {
+      case 0:
+        return 0.0f;
+      case 1:
+        return -0.0f;
+      case 2:
+        return static_cast<float>(rng.NextGaussian(0.0, 1.0)) * 3e37f;
+      default:
+        return static_cast<float>(rng.NextGaussian(0.0, 1.0));
+    }
+  };
+  LaneCase c;
+  c.point.resize(d);
+  for (float& v : c.point) v = draw();
+  c.centers = FloatMatrix(k, d);
+  for (size_t i = 0; i < k; ++i) {
+    for (float& v : c.centers.mutable_row(i)) v = draw();
+  }
+  c.centers_t.resize(d * k);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      c.centers_t[j * k + i] = c.centers.row(i)[j];
+    }
+  }
+  return c;
+}
+
+TEST(EuclideanLanesTest, EveryIsaPathIsBitIdenticalToScalar) {
+  for (const lanes::Isa isa :
+       {lanes::Isa::kPortable, lanes::Isa::kAvx2, lanes::Isa::kAvx512}) {
+    if (!lanes::Supported(isa)) continue;
+    for (const size_t d : {0, 1, 7, 64, 500}) {
+      for (const size_t k : {1, 7, 31, 33, 256}) {
+        const LaneCase c = MakeLaneCase(d, k, 1000 * d + k);
+        std::vector<double> got(k, -1.0);
+        lanes::EuclideanToCenters(isa, c.point, c.centers_t.data(), k,
+                                  got.data());
+        std::vector<double> want(k);
+        for (size_t i = 0; i < k; ++i) {
+          want[i] = KmeansExactDistance(c.point, c.centers.row(i));
+        }
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(), k * sizeof(double)))
+            << "isa=" << static_cast<int>(isa) << " d=" << d << " k=" << k;
+      }
+    }
+  }
+  EXPECT_TRUE(lanes::Supported(lanes::Best()));
+}
+
+TEST(EuclideanLanesTest, ChargesExactlyKScalarCalls) {
+  const size_t d = 37;
+  const size_t k = 45;
+  const LaneCase c = MakeLaneCase(d, k, 9);
+  std::vector<double> out(k);
+  traffic::AggregateScope lanes_scope;
+  EuclideanToCenters(c.point, c.centers_t.data(), k, out.data());
+  const TrafficCounters lanes_charge = lanes_scope.Delta();
+  traffic::AggregateScope scalar_scope;
+  for (size_t i = 0; i < k; ++i) {
+    KmeansExactDistance(c.point, c.centers.row(i));
+  }
+  const TrafficCounters scalar_charge = scalar_scope.Delta();
+  EXPECT_TRUE(lanes_charge == scalar_charge);
+  EXPECT_EQ(lanes_charge.long_ops, k);
+  EXPECT_EQ(lanes_charge.bytes_from_memory, k * d * sizeof(float));
 }
 
 TEST(DistanceNameTest, AllNames) {
