@@ -443,7 +443,6 @@ Status ShardedPimEngine::AppendRows(const FloatMatrix& rows) {
   }
   append_seq_ += rows.rows();
   num_objects_ += rows.rows();
-  mut_appended_rows_.fetch_add(rows.rows(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -459,7 +458,6 @@ Status ShardedPimEngine::DeleteRow(size_t index) {
   for (const auto& e : engines_[j]) {
     PIMINE_RETURN_IF_ERROR(e->DeleteRow(local));
   }
-  mut_deleted_rows_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -504,8 +502,6 @@ Status ShardedPimEngine::Compact() {
   }
   map_ = std::move(next);
   num_objects_ = survivors.size();
-  mut_compactions_.fetch_add(1, std::memory_order_relaxed);
-  mut_compacted_rows_.fetch_add(survivors.size(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -646,14 +642,13 @@ FleetRunStats ShardedPimEngine::FleetStats() const {
   s.scatter_ns = TransferNs(c, s.scatter_messages, s.scatter_bytes);
   s.gather_ns = TransferNs(c, s.gather_messages, s.gather_bytes);
   s.reduce_ns = TransferNs(c, s.reduce_messages, s.reduce_bytes);
-  s.appended_rows = mut_appended_rows_.load(std::memory_order_relaxed);
-  s.deleted_rows = mut_deleted_rows_.load(std::memory_order_relaxed);
-  s.compactions = mut_compactions_.load(std::memory_order_relaxed);
-  s.compacted_rows = mut_compacted_rows_.load(std::memory_order_relaxed);
   s.delta_rows = delta_objects();
   s.tombstoned_rows = tombstoned_objects();
   // Endurance sums over every device copy: replicas are physical devices,
-  // each wearing its own cells.
+  // each wearing its own cells. Every fleet mutation reaches each
+  // primary's device1 exactly once, so the mutation counters are the sums
+  // of its counts, except compactions: every fleet pass compacts every
+  // device, so any one primary's count is the fleet's.
   for (const auto& shard : engines_) {
     for (const auto& e : shard) {
       for (const PimDevice* dev : {&e->device1(), e->device2()}) {
@@ -661,6 +656,11 @@ FleetRunStats ShardedPimEngine::FleetStats() const {
         const PimDeviceStats ds = dev->StatsSnapshot();
         s.row_writes += ds.row_writes;
         s.worn_rows += ds.worn_rows;
+        if (e != shard.front() || dev != &e->device1()) continue;
+        s.appended_rows += ds.delta_vectors;
+        s.deleted_rows += ds.tombstoned_vectors;
+        s.compactions = ds.compactions;
+        s.compacted_rows += ds.compacted_rows;
       }
     }
   }
@@ -706,7 +706,10 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
             "struck-out replica.");
 #define PIMINE_HELP(field, family, help) r.SetHelp(family, help);
   PIMINE_SHARD_LINK_COUNTERS(PIMINE_HELP)
+  PIMINE_FAULT_COUNTERS(PIMINE_HELP)
   PIMINE_FAILOVER_COUNTERS(PIMINE_HELP)
+  PIMINE_MUTATION_COUNTERS(PIMINE_HELP)
+  PIMINE_MUTATION_GAUGES(PIMINE_HELP)
 #undef PIMINE_HELP
   r.SetHelp("pimine_fleet_shard_scatter_ns",
             "Modeled scatter transfer time charged to this shard.");
@@ -720,16 +723,6 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
             "Serial-equivalent modeled device compute time of this shard.");
   r.SetHelp("pimine_fleet_shard_pipelined_ns",
             "Modeled pipelined device occupancy of this shard.");
-  r.SetHelp("pimine_fleet_shard_faults_injected_total",
-            "Transient faults injected into this shard's devices.");
-  r.SetHelp("pimine_fleet_shard_faults_detected_total",
-            "Faults caught by checksum verification on this shard.");
-  r.SetHelp("pimine_fleet_shard_faults_escaped_total",
-            "Faults that escaped verification on this shard.");
-  r.SetHelp("pimine_fleet_shard_fault_retries_total",
-            "Recovery retries performed on this shard.");
-  r.SetHelp("pimine_fleet_shard_fault_remapped_rows_total",
-            "Rows remapped to spare crossbar rows on this shard.");
   r.SetHelp("pimine_fleet_shard_fault_recovery_ns",
             "Modeled fault-recovery time spent on this shard.");
   r.SetHelp("pimine_fleet_shard_failover_ns",
@@ -761,12 +754,10 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
 #undef PIMINE_COUNT
     count("pimine_fleet_shard_batch_ops_total", labels, h.batch_ops);
     count("pimine_fleet_shard_queries_total", labels, h.queries_processed);
-    count("pimine_fleet_shard_faults_injected_total", labels, h.fault.injected);
-    count("pimine_fleet_shard_faults_detected_total", labels, h.fault.detected);
-    count("pimine_fleet_shard_faults_escaped_total", labels, h.fault.escaped);
-    count("pimine_fleet_shard_fault_retries_total", labels, h.fault.retries);
-    count("pimine_fleet_shard_fault_remapped_rows_total", labels,
-          h.fault.remapped_rows);
+#define PIMINE_COUNT(field, family, help) \
+  count(family, labels, h.fault.field);
+    PIMINE_FAULT_COUNTERS(PIMINE_COUNT)
+#undef PIMINE_COUNT
 #define PIMINE_COUNT(field, family, help) \
   count(family, labels, h.failover.field);
     PIMINE_FAILOVER_COUNTERS(PIMINE_COUNT)
@@ -788,39 +779,20 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
   count("pimine_fleet_reduce_bytes_total", {},
         reduce_bytes_.load(std::memory_order_relaxed));
 
-  // Mutable-dataset plane (DESIGN.md section 13): fleet-level mutation
-  // counters plus the current delta/tombstone backlog and the endurance
-  // totals from FleetStats (summed over every device copy).
-  r.SetHelp("pimine_mutation_appended_rows_total",
-            "Rows appended to the fleet via delta programming.");
-  r.SetHelp("pimine_mutation_deleted_rows_total",
-            "Rows tombstoned on the fleet.");
-  r.SetHelp("pimine_mutation_compactions_total",
-            "Fleet-wide compaction passes (base + delta rewritten).");
-  r.SetHelp("pimine_mutation_compacted_rows_total",
-            "Live rows rewritten by compaction passes.");
-  r.SetHelp("pimine_mutation_delta_rows",
-            "Un-compacted delta rows currently programmed (primary copies).");
-  r.SetHelp("pimine_mutation_tombstoned_rows",
-            "Rows currently tombstoned (primary copies).");
+  // Mutable-dataset plane (DESIGN.md section 13): the fleet's mutation
+  // counters and current delta/tombstone/wear state from FleetStats.
   r.SetHelp("pimine_mutation_row_writes_total",
             "Row program operations summed over every device copy "
             "(write-endurance accounting).");
-  r.SetHelp("pimine_mutation_worn_rows",
-            "Rows past the configured write-endurance limit over every "
-            "device copy.");
   const FleetRunStats fs = FleetStats();
-  count("pimine_mutation_appended_rows_total", {}, fs.appended_rows);
-  count("pimine_mutation_deleted_rows_total", {}, fs.deleted_rows);
-  count("pimine_mutation_compactions_total", {}, fs.compactions);
-  count("pimine_mutation_compacted_rows_total", {}, fs.compacted_rows);
+#define PIMINE_COUNT(field, family, help) count(family, {}, fs.field);
+  PIMINE_MUTATION_COUNTERS(PIMINE_COUNT)
+#undef PIMINE_COUNT
   count("pimine_mutation_row_writes_total", {}, fs.row_writes);
-  r.GetGauge("pimine_mutation_delta_rows")
-      .Set(static_cast<double>(fs.delta_rows));
-  r.GetGauge("pimine_mutation_tombstoned_rows")
-      .Set(static_cast<double>(fs.tombstoned_rows));
-  r.GetGauge("pimine_mutation_worn_rows")
-      .Set(static_cast<double>(fs.worn_rows));
+#define PIMINE_GAUGE(field, family, help) \
+  r.GetGauge(family).Set(static_cast<double>(fs.field));
+  PIMINE_MUTATION_GAUGES(PIMINE_GAUGE)
+#undef PIMINE_GAUGE
 }
 
 void ShardedPimEngine::ChargeTreeReduction(uint64_t payload_bytes) const {

@@ -412,17 +412,11 @@ class ShardedPimEngine {
   mutable std::atomic<uint64_t> reduce_messages_{0};
   mutable std::atomic<uint64_t> reduce_bytes_{0};
 
-  // Mutable-dataset accounting. append_seq_ drives the round-robin row
-  // placement and survives compaction, so a long insert stream keeps
-  // balancing the shards. The counters are cumulative (ResetOnlineStats
-  // leaves them untouched) and atomic only so concurrent FleetStats /
-  // metrics snapshots stay race-free; mutations themselves are externally
-  // serialized.
+  // Drives the round-robin placement of appended rows and survives
+  // compaction, so a long insert stream keeps balancing the shards. The
+  // mutation counters are not kept here: FleetStats() reads them from the
+  // primaries' devices, which count every append, tombstone and compaction.
   uint64_t append_seq_ = 0;
-  std::atomic<uint64_t> mut_appended_rows_{0};
-  std::atomic<uint64_t> mut_deleted_rows_{0};
-  std::atomic<uint64_t> mut_compactions_{0};
-  std::atomic<uint64_t> mut_compacted_rows_{0};
 };
 
 /// Merges per-shard top-k lists into the global top-k. Every input list

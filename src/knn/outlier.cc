@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "util/timer.h"
 
@@ -97,8 +98,8 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
     const FloatMatrix& data, const OutlierOptions& options) {
   PIMINE_RETURN_IF_ERROR(ValidateOutlierInput(data, options));
   PIMINE_ASSIGN_OR_RETURN(
-      std::unique_ptr<PimEngine> engine,
-      PimEngine::Build(data, Distance::kEuclidean, options_));
+      std::unique_ptr<ShardedPimEngine> engine,
+      ShardedPimEngine::Build(data, Distance::kEuclidean, options_));
 
   OutlierResult result;
   TrafficScope traffic_scope;
@@ -107,13 +108,19 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
   const size_t n = data.rows();
   TopOutliers outliers(options.num_outliers);
   std::vector<double> bounds(n);
+  ShardedPimEngine::QueryScratch query_scratch;
+  ShardedPimEngine::QueryHandleBatch handle;
 
   for (size_t i = 0; i < n; ++i) {
     const auto p = data.row(i);
     const double cutoff = outliers.cutoff();
     {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_RETURN_IF_ERROR(engine->ComputeBounds(p, &bounds));
+      PIMINE_RETURN_IF_ERROR(engine->RunQueryBatch(
+          p, /*num_queries=*/1, &query_scratch, &handle));
+      for (size_t j = 0; j < n; ++j) {
+        bounds[j] = engine->BoundFor(handle, 0, j);
+      }
       result.stats.bound_count += n;
     }
 
@@ -145,6 +152,8 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
   result.stats.wall_ms = wall.ElapsedMillis();
   result.stats.traffic = traffic_scope.Delta();
   result.stats.pim_ns = engine->PimComputeNs();
+  result.stats.fault = engine->FaultStatsTotal();
+  result.stats.fleet = engine->FleetStats();
   result.stats.footprint_bytes =
       n * sizeof(double) * 2 + result.stats.exact_count * data.cols() *
                                    sizeof(float) / std::max<size_t>(1, n);

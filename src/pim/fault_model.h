@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "util/counter_table.h"
 
 namespace pimine {
 
@@ -92,63 +93,60 @@ struct RecoveryPolicy {
   VerifyMode verify_mode = VerifyMode::kHostExact;
 };
 
-/// Accounting of the fault and recovery processes. Counters are per result
-/// value (one dot product or one checksum read) and per recovery action.
-/// Invariant: injected == detected + escaped — every corrupted value was
-/// either flagged by its group's checksum or slipped through.
+/// The fault and recovery counters, one entry each:
+/// X(field, Prometheus family, HELP text). Counters are per result value
+/// (one dot product or one checksum read) and per recovery action. This
+/// list is the one definition of every counter: the FaultStats fields,
+/// their merge, Any and ToString, the labelled
+/// pimine_fleet_shard_*{shard="j"} export and pimine_cli's fault rows are
+/// all generated from it.
+#define PIMINE_FAULT_COUNTERS(X)                                            \
+  X(injected, "pimine_fleet_shard_faults_injected_total",                   \
+    "Transient faults injected into this shard's devices.")                 \
+  X(detected, "pimine_fleet_shard_faults_detected_total",                   \
+    "Faults caught by checksum verification on this shard.")                \
+  X(escaped, "pimine_fleet_shard_faults_escaped_total",                     \
+    "Faults that escaped verification on this shard.")                      \
+  X(checksum_checks, "pimine_fleet_shard_fault_checksum_checks_total",      \
+    "Checksum comparisons performed on this shard (one per group pass).")   \
+  X(groups_flagged, "pimine_fleet_shard_fault_groups_flagged_total",        \
+    "(query, group) episodes the checksum flagged at least once.")          \
+  X(retries, "pimine_fleet_shard_fault_retries_total",                      \
+    "Recovery retries performed on this shard.")                            \
+  X(remapped_rows, "pimine_fleet_shard_fault_remapped_rows_total",          \
+    "Rows remapped to spare crossbar rows on this shard.")                  \
+  X(escalated_to_host, "pimine_fleet_shard_fault_escalated_to_host_total",  \
+    "Result values escalated past device recovery on this shard.")          \
+  X(stuck_cells, "pimine_fleet_shard_fault_stuck_cells_total",              \
+    "Stuck cells sampled while programming this shard's devices.")
+
+/// Accounting of the fault and recovery processes. Invariant: injected ==
+/// detected + escaped — every corrupted value was either flagged by its
+/// group's checksum or slipped through. Retry passes re-count injected
+/// values (each pass is a new operation); escaped values are the ones the
+/// checksum missed (multi-fault cancellation mod 2^16 - 1) or that flowed
+/// through with verification off; escalated values were re-read by the
+/// host under kHostExact or suspect-flagged under kBoundSlack.
 struct FaultStats {
-  /// Corrupted result values produced across all passes (retries re-count:
-  /// each pass is a new operation).
-  uint64_t injected = 0;
-  /// Corrupted values in passes the checksum flagged.
-  uint64_t detected = 0;
-  /// Corrupted values the checksum missed (multi-fault cancellation
-  /// mod 2^16 - 1) or that flowed through with verification off.
-  uint64_t escaped = 0;
-  /// Checksum comparisons performed (one per group pass).
-  uint64_t checksum_checks = 0;
-  /// (query, group) episodes that were flagged at least once.
-  uint64_t groups_flagged = 0;
-  /// Retry passes issued.
-  uint64_t retries = 0;
-  /// Crossbar rows re-programmed by remapping.
-  uint64_t remapped_rows = 0;
-  /// Result values escalated past device recovery (host re-read under
-  /// kHostExact, suspect-flagged under kBoundSlack).
-  uint64_t escalated_to_host = 0;
-  /// Stuck cells sampled while programming (harmful or latent).
-  uint64_t stuck_cells = 0;
+  PIMINE_FAULT_COUNTERS(PIMINE_COUNTER_FIELD)
   /// Modeled time spent on recovery (retry passes + remap writes + host
   /// re-reads), ns. Charged on top of the fault-free compute_ns.
   double recovery_ns = 0.0;
 
   bool Any() const {
-    return injected != 0 || checksum_checks != 0 || retries != 0 ||
-           remapped_rows != 0 || escalated_to_host != 0 || stuck_cells != 0 ||
+    return false PIMINE_FAULT_COUNTERS(PIMINE_COUNTER_ANY) ||
            recovery_ns != 0.0;
   }
 
   void Merge(const FaultStats& other) {
-    injected += other.injected;
-    detected += other.detected;
-    escaped += other.escaped;
-    checksum_checks += other.checksum_checks;
-    groups_flagged += other.groups_flagged;
-    retries += other.retries;
-    remapped_rows += other.remapped_rows;
-    escalated_to_host += other.escalated_to_host;
-    stuck_cells += other.stuck_cells;
+    PIMINE_FAULT_COUNTERS(PIMINE_COUNTER_MERGE)
     recovery_ns += other.recovery_ns;
   }
 
   std::string ToString() const {
     std::ostringstream os;
-    os << "injected=" << injected << " detected=" << detected
-       << " escaped=" << escaped << " checks=" << checksum_checks
-       << " flagged=" << groups_flagged << " retries=" << retries
-       << " remapped_rows=" << remapped_rows
-       << " escalated=" << escalated_to_host << " stuck_cells=" << stuck_cells
-       << " recovery=" << recovery_ns / 1e6 << "ms";
+    PIMINE_FAULT_COUNTERS(PIMINE_COUNTER_PRINT)
+    os << "recovery=" << recovery_ns / 1e6 << "ms";
     return os.str();
   }
 };

@@ -54,22 +54,14 @@ Status ShardOptions::ValidateReplication() const {
 }
 
 void FailoverStats::Merge(const FailoverStats& other) {
-#define PIMINE_MERGE(field, family, help) field += other.field;
-  PIMINE_FAILOVER_COUNTERS(PIMINE_MERGE)
-#undef PIMINE_MERGE
+  PIMINE_FAILOVER_COUNTERS(PIMINE_COUNTER_MERGE)
   failover_ns += other.failover_ns;
 }
 
 std::string FailoverStats::ToString() const {
   std::ostringstream os;
-  os << "injected=" << injected << " recovered=" << recovered
-     << " shed=" << shed << " (slack=" << slack_fills << ")"
-     << " attempts_failed=" << attempts_failed << " (chaos=" << chaos_denied
-     << " device=" << device_faults << ")"
-     << " strikes=" << strikes << " struck_out=" << struck_out
-     << " retry=" << retry_messages << "msg/" << retry_bytes << "B"
-     << " backoff=" << backoff_ns << "ns"
-     << " failover=" << failover_ns / 1e6 << "ms";
+  PIMINE_FAILOVER_COUNTERS(PIMINE_COUNTER_PRINT)
+  os << "failover=" << failover_ns / 1e6 << "ms";
   return os.str();
 }
 
@@ -149,21 +141,19 @@ Result<ShardMap> BuildShardMap(const FloatMatrix& data,
 std::string FleetRunStats::ToString() const {
   std::ostringstream os;
   os << "shards=" << shards << " placement=" << ShardPlacementName(placement)
-     << " scatter=" << scatter_messages << "msg/" << scatter_bytes << "B"
-     << " gather=" << gather_messages << "msg/" << gather_bytes << "B"
-     << " reduce=" << reduce_messages << "msg/" << reduce_bytes << "B"
-     << " failovers=" << failovers << " interconnect="
-     << InterconnectNs() / 1e6 << "ms";
+     << " ";
+  PIMINE_SHARD_LINK_COUNTERS(PIMINE_COUNTER_PRINT)
+  os << "reduce=" << reduce_messages << "msg/" << reduce_bytes << "B"
+     << " interconnect=" << InterconnectNs() / 1e6 << "ms";
   if (failover.Any()) {
     os << " | " << failover.ToString();
     if (degraded_shards > 0) os << " degraded_shards=" << degraded_shards;
   }
   if (AnyMutation()) {
-    os << " | mutation: appended=" << appended_rows
-       << " deleted=" << deleted_rows << " compactions=" << compactions
-       << " (rows=" << compacted_rows << ")"
-       << " delta=" << delta_rows << " tombstoned=" << tombstoned_rows
-       << " row_writes=" << row_writes << " worn=" << worn_rows;
+    os << " | mutation: ";
+    PIMINE_MUTATION_COUNTERS(PIMINE_COUNTER_PRINT)
+    PIMINE_MUTATION_GAUGES(PIMINE_COUNTER_PRINT)
+    os << "row_writes=" << row_writes;
   }
   return os.str();
 }

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "data/matrix.h"
 #include "pim/pim_config.h"
+#include "util/counter_table.h"
 
 namespace pimine {
 
@@ -125,8 +126,33 @@ struct ShardOptions {
   X(failed_over_queries, "pimine_fleet_shard_failed_over_queries_total",    \
     "Queries served off-device on this shard.")
 
-/// Declares one uint64_t field per table entry.
-#define PIMINE_COUNTER_FIELD(field, family, help) uint64_t field = 0;
+/// The mutable-dataset counters (DESIGN.md section 13), in the same
+/// X(field, family, HELP) form: cumulative since build, and counted on the
+/// primary copies. Mutations are maintenance work, so ResetOnlineStats
+/// leaves them untouched. The FleetRunStats fields, AnyMutation, the
+/// mutation part of ToString and the pimine_mutation_* counters are
+/// generated from this list.
+#define PIMINE_MUTATION_COUNTERS(X)                                         \
+  X(appended_rows, "pimine_mutation_appended_rows_total",                   \
+    "Rows appended to the fleet via delta programming.")                    \
+  X(deleted_rows, "pimine_mutation_deleted_rows_total",                     \
+    "Rows tombstoned on the fleet.")                                        \
+  X(compactions, "pimine_mutation_compactions_total",                       \
+    "Fleet-wide compaction passes (base + delta rewritten).")               \
+  X(compacted_rows, "pimine_mutation_compacted_rows_total",                 \
+    "Live rows rewritten by compaction passes.")
+
+/// The mutable-dataset state, exported as pimine_mutation_* gauges: the
+/// current un-compacted delta rows and live tombstones (primary copies)
+/// and the rows past the write-endurance limit (every device copy).
+#define PIMINE_MUTATION_GAUGES(X)                                           \
+  X(delta_rows, "pimine_mutation_delta_rows",                               \
+    "Un-compacted delta rows currently programmed (primary copies).")       \
+  X(tombstoned_rows, "pimine_mutation_tombstoned_rows",                     \
+    "Rows currently tombstoned (primary copies).")                          \
+  X(worn_rows, "pimine_mutation_worn_rows",                                 \
+    "Rows past the configured write-endurance limit over every "            \
+    "device copy.")
 
 /// Modeled interconnect time of `messages` transfers carrying `bytes` in
 /// total: PimTimingModel::TransferLatencyNs summed per message, which is
@@ -205,20 +231,14 @@ struct FleetRunStats {
   double scatter_ns = 0.0;
   double gather_ns = 0.0;
   double reduce_ns = 0.0;
-  /// Mutable-dataset accounting (see DESIGN.md section 13). Cumulative
-  /// since build: mutations are maintenance work, so ResetOnlineStats
-  /// leaves these untouched.
-  uint64_t appended_rows = 0;   // rows appended via delta programming.
-  uint64_t deleted_rows = 0;    // tombstones recorded.
-  uint64_t compactions = 0;     // fleet-wide compaction passes.
-  uint64_t compacted_rows = 0;  // live rows rewritten by compactions.
-  /// Current un-compacted delta rows / live tombstones (primary copies).
-  uint64_t delta_rows = 0;
-  uint64_t tombstoned_rows = 0;
-  /// Write-endurance totals summed over every device copy (replicas are
-  /// physical devices, so each copy wears independently).
+  /// Mutable-dataset accounting (see DESIGN.md section 13).
+  PIMINE_MUTATION_COUNTERS(PIMINE_COUNTER_FIELD)
+  PIMINE_MUTATION_GAUGES(PIMINE_COUNTER_FIELD)
+  /// Row program operations summed over every device copy (replicas are
+  /// physical devices, so each copy wears independently). Not in the
+  /// tables: every build writes each row once, so it is non-zero on a
+  /// fleet that was never mutated and stays out of AnyMutation.
   uint64_t row_writes = 0;
-  uint64_t worn_rows = 0;
 
   double InterconnectNs() const { return scatter_ns + gather_ns + reduce_ns; }
   bool Any() const {
@@ -226,8 +246,8 @@ struct FleetRunStats {
            reduce_messages != 0 || failovers != 0;
   }
   bool AnyMutation() const {
-    return appended_rows != 0 || deleted_rows != 0 || compactions != 0 ||
-           delta_rows != 0 || tombstoned_rows != 0 || worn_rows != 0;
+    return false PIMINE_MUTATION_COUNTERS(PIMINE_COUNTER_ANY)
+        PIMINE_MUTATION_GAUGES(PIMINE_COUNTER_ANY);
   }
 
   std::string ToString() const;

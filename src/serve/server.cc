@@ -751,16 +751,10 @@ ServeStats PimServer::LiveStats() {
 void PimServer::FillServeMetrics(const ServeStats& stats,
                                  obs::MetricsRegistry* registry) const {
   obs::MetricsRegistry& metrics = *registry;
-  metrics.SetHelp("pimine_serve_submitted_total",
-                  "Queries submitted to the admission queue.");
-  metrics.SetHelp("pimine_serve_served_total",
-                  "Queries served to completion.");
-  metrics.SetHelp("pimine_serve_rejected_total",
-                  "Queries rejected by admission-queue backpressure.");
-  metrics.SetHelp("pimine_serve_deadline_misses_total",
-                  "Served queries whose latency exceeded deadline_ns.");
-  metrics.SetHelp("pimine_serve_batches_total",
-                  "Scheduler dispatches issued.");
+#define PIMINE_HELP(field, family, help) metrics.SetHelp(family, help);
+  PIMINE_SERVE_COUNTERS(PIMINE_HELP)
+  PIMINE_TENANT_COUNTERS(PIMINE_HELP)
+#undef PIMINE_HELP
   metrics.SetHelp("pimine_serve_max_queue_depth",
                   "High-water mark of the admission queue depth.");
   metrics.SetHelp("pimine_serve_mean_batch_occupancy",
@@ -771,25 +765,10 @@ void PimServer::FillServeMetrics(const ServeStats& stats,
                   "Arrival-to-completion latency per served query.");
   metrics.SetHelp("pimine_serve_batch_occupancy",
                   "Queries coalesced per scheduler dispatch.");
-  metrics.SetHelp("pimine_serve_shed_queries_total",
-                  "Submissions refused by degraded-mode load shedding.");
-  metrics.SetHelp("pimine_serve_degraded_batches_total",
-                  "Dispatches formed while a shard sat below the degrade "
-                  "watermark.");
-  metrics.SetHelp("pimine_serve_watermark_compactions_total",
-                  "Compactions fired by the tombstone watermark.");
-  metrics.GetCounter("pimine_serve_watermark_compactions_total")
-      .Add(stats.watermark_compactions);
-  metrics.GetCounter("pimine_serve_submitted_total").Add(stats.submitted);
-  metrics.GetCounter("pimine_serve_served_total").Add(stats.served);
-  metrics.GetCounter("pimine_serve_rejected_total").Add(stats.rejected);
-  metrics.GetCounter("pimine_serve_shed_queries_total")
-      .Add(stats.shed_queries);
-  metrics.GetCounter("pimine_serve_degraded_batches_total")
-      .Add(stats.degraded_batches);
-  metrics.GetCounter("pimine_serve_deadline_misses_total")
-      .Add(stats.deadline_misses);
-  metrics.GetCounter("pimine_serve_batches_total").Add(stats.batches);
+#define PIMINE_COUNT(field, family, help) \
+  metrics.GetCounter(family).Add(stats.field);
+  PIMINE_SERVE_COUNTERS(PIMINE_COUNT)
+#undef PIMINE_COUNT
   metrics.GetGauge("pimine_serve_max_queue_depth")
       .Set(static_cast<double>(stats.max_queue_depth));
   metrics.GetGauge("pimine_serve_mean_batch_occupancy")
@@ -798,20 +777,12 @@ void PimServer::FillServeMetrics(const ServeStats& stats,
   metrics.MergeHistogram("pimine_serve_latency_ns", stats.latency_hist);
   metrics.MergeHistogram("pimine_serve_batch_occupancy",
                          stats.occupancy_hist);
-  metrics.SetHelp("pimine_serve_tenant_served_total",
-                  "Queries served, by tenant.");
-  metrics.SetHelp("pimine_serve_tenant_rejected_total",
-                  "Queries rejected, by tenant.");
-  metrics.SetHelp("pimine_serve_tenant_deadline_misses_total",
-                  "Deadline misses, by tenant.");
   for (const TenantServeStats& t : stats.tenants) {
     const obs::MetricLabels labels = {{"tenant", t.name}};
-    metrics.GetCounter("pimine_serve_tenant_served_total", labels)
-        .Add(t.served);
-    metrics.GetCounter("pimine_serve_tenant_rejected_total", labels)
-        .Add(t.rejected);
-    metrics.GetCounter("pimine_serve_tenant_deadline_misses_total", labels)
-        .Add(t.deadline_misses);
+#define PIMINE_COUNT(field, family, help) \
+  metrics.GetCounter(family, labels).Add(t.field);
+    PIMINE_TENANT_COUNTERS(PIMINE_COUNT)
+#undef PIMINE_COUNT
   }
 }
 

@@ -25,6 +25,7 @@
 #include "serve/admission_queue.h"
 #include "serve/serve_options.h"
 #include "serve/workload.h"
+#include "util/counter_table.h"
 #include "util/top_k.h"
 
 namespace pimine {
@@ -48,13 +49,45 @@ struct ServedResult {
   std::vector<Neighbor> neighbors;
 };
 
+/// The scheduler counters of one serving run, one entry each:
+/// X(field, Prometheus family, HELP text). shed_queries is a subset of
+/// rejected; degraded dispatches run with bound-slack escalation instead of
+/// host-exact; each batch is one RunQueryBatch coalescing up to max_batch
+/// queries. The ServeStats fields, the pimine_serve_* counters
+/// (PimServer::FillServeMetrics) and pimine_serve's counter rows are
+/// generated from this list.
+#define PIMINE_SERVE_COUNTERS(X)                                            \
+  X(submitted, "pimine_serve_submitted_total",                              \
+    "Queries submitted to the admission queue.")                            \
+  X(served, "pimine_serve_served_total", "Queries served to completion.")   \
+  X(rejected, "pimine_serve_rejected_total",                                \
+    "Queries rejected by admission-queue backpressure.")                    \
+  X(deadline_misses, "pimine_serve_deadline_misses_total",                  \
+    "Served queries whose latency exceeded deadline_ns.")                   \
+  X(shed_queries, "pimine_serve_shed_queries_total",                        \
+    "Submissions refused by degraded-mode load shedding.")                  \
+  X(degraded_batches, "pimine_serve_degraded_batches_total",                \
+    "Dispatches formed while a shard sat below the degrade watermark.")     \
+  X(watermark_compactions, "pimine_serve_watermark_compactions_total",      \
+    "Compactions fired by the tombstone watermark.")                        \
+  X(batches, "pimine_serve_batches_total", "Scheduler dispatches issued.")
+
+/// The per-tenant counters, in the same form: the TenantServeStats fields
+/// and the pimine_serve_tenant_*{tenant="name"} counters.
+#define PIMINE_TENANT_COUNTERS(X)                                           \
+  X(submitted, "pimine_serve_tenant_submitted_total",                       \
+    "Queries submitted, by tenant.")                                        \
+  X(served, "pimine_serve_tenant_served_total",                             \
+    "Queries served, by tenant.")                                           \
+  X(rejected, "pimine_serve_tenant_rejected_total",                         \
+    "Queries rejected, by tenant.")                                         \
+  X(deadline_misses, "pimine_serve_tenant_deadline_misses_total",           \
+    "Deadline misses, by tenant.")
+
 /// Per-tenant serving accounting.
 struct TenantServeStats {
   std::string name;
-  uint64_t submitted = 0;
-  uint64_t served = 0;
-  uint64_t rejected = 0;
-  uint64_t deadline_misses = 0;
+  PIMINE_TENANT_COUNTERS(PIMINE_COUNTER_FIELD)
   /// Arrival-to-completion latency SLO histogram (exact integer buckets).
   obs::Histogram latency;
 };
@@ -64,22 +97,7 @@ struct TenantServeStats {
 /// underlying engine in `exec` (traffic, modeled pim_ns, exact/bound
 /// counts — the fields the determinism tests pin across thread counts).
 struct ServeStats {
-  uint64_t submitted = 0;
-  uint64_t served = 0;
-  uint64_t rejected = 0;
-  uint64_t deadline_misses = 0;
-  /// Rejections issued by degraded-mode load shedding (a subset of
-  /// `rejected`): lowest-weight-tenant submissions refused with
-  /// CapacityExceeded while a shard sat below the degrade watermark.
-  uint64_t shed_queries = 0;
-  /// Dispatches formed while some shard sat below the degrade watermark
-  /// (executed with bound-slack escalation instead of host-exact).
-  uint64_t degraded_batches = 0;
-  /// Compactions fired by the tombstone watermark (MaybeCompact).
-  uint64_t watermark_compactions = 0;
-  /// Scheduler dispatches issued (each one RunQueryBatch coalescing up to
-  /// max_batch queries).
-  uint64_t batches = 0;
+  PIMINE_SERVE_COUNTERS(PIMINE_COUNTER_FIELD)
   /// High-water mark of the admission queue depth.
   uint64_t max_queue_depth = 0;
   /// Completion instant of the last dispatch: the virtual-clock makespan

@@ -91,6 +91,44 @@ TEST(MotifTest, PimMatchesBaselineExactly) {
   }
 }
 
+// The PIM path runs on the engine fleet: EngineOptions::shard is honoured
+// bit-identically, and the fleet's fault and shard accounting reach the
+// result's stats.
+TEST(MotifTest, PimRunsOnTheFleetAndReportsFaultStats) {
+  const auto series = SeriesWithPlantedMotif(600, 24, 100, 400, 5);
+  auto windows = ExtractWindows(series, 24);
+  ASSERT_TRUE(windows.ok());
+  MotifOptions options;
+  options.window = 24;
+
+  EngineOptions one;
+  auto single = PimMotifDiscovery(one).Find(*windows, options);
+  ASSERT_TRUE(single.ok());
+  EngineOptions three;
+  three.shard.shards = 3;
+  EngineOptions faulty = three;
+  faulty.fault_config.cell_rate = 1e-3;
+  faulty.fault_config.transient_rate = 1e-3;
+  for (const EngineOptions& engine_options : {three, faulty}) {
+    auto sharded = PimMotifDiscovery(engine_options).Find(*windows, options);
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ(sharded->first, single->first);
+    EXPECT_EQ(sharded->second, single->second);
+    EXPECT_EQ(sharded->distance, single->distance);
+    EXPECT_EQ(sharded->stats.exact_count, single->stats.exact_count);
+    EXPECT_EQ(sharded->stats.bound_count, single->stats.bound_count);
+    EXPECT_EQ(sharded->stats.fleet.shards, 3);
+    EXPECT_GT(sharded->stats.fleet.scatter_messages, 0u);
+  }
+  EXPECT_EQ(PimMotifDiscovery(three).Find(*windows, options)->stats.pim_ns,
+            single->stats.pim_ns);
+  auto faulted = PimMotifDiscovery(faulty).Find(*windows, options);
+  ASSERT_TRUE(faulted.ok());
+  EXPECT_GT(faulted->stats.fault.injected, 0u)
+      << faulted->stats.fault.ToString();
+  EXPECT_FALSE(single->stats.fault.Any());
+}
+
 TEST(MotifTest, ExclusionZonePreventsTrivialMatches) {
   // Pure random walk, no planted motif: adjacent windows share all but one
   // sample and are therefore the closest pairs by construction.

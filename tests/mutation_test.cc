@@ -442,5 +442,46 @@ TEST(MutationModelTest, FleetCountersAndMetricsTrackMutations) {
   EXPECT_NE(text.find("pimine_mutation_delta_rows 0"), std::string::npos);
 }
 
+// The fleet's mutation counters are read from the primaries' devices:
+// cumulative across compactions and ResetOnlineStats, counted once per
+// fleet mutation however many replicas and shards it reached.
+TEST(MutationModelTest, FleetMutationCountersAreCumulativeAcrossCompactions) {
+  const FloatMatrix base = RandomUnitMatrix(40, 8, 0x4A);
+  EngineOptions options;
+  options.shard.shards = 3;
+  options.shard.replicas = 2;
+  auto built = ShardedPimEngine::Build(base, Distance::kEuclidean, options);
+  ASSERT_TRUE(built.ok());
+  auto engine = std::move(*built);
+
+  ASSERT_TRUE(engine->AppendRows(RandomUnitMatrix(7, 8, 0x4B)).ok());
+  for (const size_t row : {0, 5, 44}) {
+    ASSERT_TRUE(engine->DeleteRow(row).ok());
+  }
+  ASSERT_TRUE(engine->Compact().ok());
+  ASSERT_TRUE(engine->AppendRows(RandomUnitMatrix(5, 8, 0x4C)).ok());
+  for (const size_t row : {1, 46}) {
+    ASSERT_TRUE(engine->DeleteRow(row).ok());
+  }
+  engine->ResetOnlineStats();
+  FleetRunStats stats = engine->FleetStats();
+  EXPECT_EQ(stats.appended_rows, 12u);
+  EXPECT_EQ(stats.deleted_rows, 5u);
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(stats.compacted_rows, 44u);
+  EXPECT_EQ(stats.delta_rows, 5u);
+  EXPECT_EQ(stats.tombstoned_rows, 2u);
+
+  ASSERT_TRUE(engine->Compact().ok());
+  stats = engine->FleetStats();
+  EXPECT_EQ(stats.appended_rows, 12u);
+  EXPECT_EQ(stats.deleted_rows, 5u);
+  EXPECT_EQ(stats.compactions, 2u);
+  EXPECT_EQ(stats.compacted_rows, 44u + 47u);
+  EXPECT_EQ(stats.delta_rows, 0u);
+  EXPECT_EQ(stats.tombstoned_rows, 0u);
+  EXPECT_EQ(engine->num_objects(), 47u);
+}
+
 }  // namespace
 }  // namespace pimine

@@ -103,6 +103,46 @@ TEST(OutlierTest, PimComputesFewerExactDistances) {
   EXPECT_GT(accel->stats.pim_ns, 0.0);
 }
 
+// The PIM path runs on the engine fleet: EngineOptions::shard is honoured
+// bit-identically, and the fleet's fault and shard accounting reach the
+// result's stats.
+TEST(OutlierTest, PimRunsOnTheFleetAndReportsFaultStats) {
+  const FloatMatrix data = OutlierData(240, 24, 31);
+  OutlierOptions options;
+  options.k = 4;
+  options.num_outliers = 6;
+
+  EngineOptions one;
+  auto single = OrcaPimOutlierDetector(one).Detect(data, options);
+  ASSERT_TRUE(single.ok());
+  EngineOptions three;
+  three.shard.shards = 3;
+  EngineOptions faulty = three;
+  faulty.fault_config.cell_rate = 1e-3;
+  faulty.fault_config.transient_rate = 1e-3;
+  for (const EngineOptions& engine_options : {three, faulty}) {
+    auto sharded = OrcaPimOutlierDetector(engine_options).Detect(data, options);
+    ASSERT_TRUE(sharded.ok());
+    ASSERT_EQ(sharded->outliers.size(), single->outliers.size());
+    for (size_t i = 0; i < single->outliers.size(); ++i) {
+      EXPECT_EQ(sharded->outliers[i].id, single->outliers[i].id);
+      EXPECT_EQ(sharded->outliers[i].distance, single->outliers[i].distance);
+    }
+    EXPECT_EQ(sharded->stats.exact_count, single->stats.exact_count);
+    EXPECT_EQ(sharded->stats.bound_count, single->stats.bound_count);
+    EXPECT_EQ(sharded->stats.fleet.shards, 3);
+    EXPECT_GT(sharded->stats.fleet.scatter_messages, 0u);
+  }
+  EXPECT_EQ(
+      OrcaPimOutlierDetector(three).Detect(data, options)->stats.pim_ns,
+      single->stats.pim_ns);
+  auto faulted = OrcaPimOutlierDetector(faulty).Detect(data, options);
+  ASSERT_TRUE(faulted.ok());
+  EXPECT_GT(faulted->stats.fault.injected, 0u)
+      << faulted->stats.fault.ToString();
+  EXPECT_FALSE(single->stats.fault.Any());
+}
+
 TEST(OutlierTest, PlantedOutlierIsFound) {
   FloatMatrix data = OutlierData(200, 16, 3);
   // Plant an extreme point far from every cluster (clusters live around

@@ -605,11 +605,11 @@ size_t CountLines(const std::string& text, const std::string& line) {
 }
 
 // Driven by the counter tables themselves: for every entry of
-// PIMINE_SHARD_LINK_COUNTERS and PIMINE_FAILOVER_COUNTERS, after a chaos
-// replay on a 4-shard x 2-replica fleet, the per-shard ShardHealthSnapshot
-// values sum to the FleetStats() aggregate, and the export carries exactly
-// one HELP/TYPE pair and one {shard="j"} sample per shard, valued as the
-// snapshot.
+// PIMINE_SHARD_LINK_COUNTERS, PIMINE_FAULT_COUNTERS and
+// PIMINE_FAILOVER_COUNTERS, after a chaos replay on a fault-injecting
+// 4-shard x 2-replica fleet, the per-shard ShardHealthSnapshot values sum
+// to the fleet aggregate, and the export carries exactly one HELP/TYPE
+// pair and one {shard="j"} sample per shard, valued as the snapshot.
 TEST(FleetHealthTest, CounterTableEntriesSumAndExportPerShard) {
   const FloatMatrix data = RandomUnitMatrix(200, 24, 3);
   const FloatMatrix queries = RandomUnitMatrix(32, 24, 5);
@@ -617,6 +617,8 @@ TEST(FleetHealthTest, CounterTableEntriesSumAndExportPerShard) {
   engine_options.pim_config.num_crossbars = 4096;
   engine_options.shard.shards = 4;
   engine_options.shard.replicas = 2;
+  engine_options.fault_config.cell_rate = 1e-3;
+  engine_options.fault_config.transient_rate = 1e-3;
   serve::ServeOptions serve_options;
   serve_options.max_batch = 8;
   serve_options.k = 5;
@@ -647,6 +649,9 @@ TEST(FleetHealthTest, CounterTableEntriesSumAndExportPerShard) {
   ASSERT_GT(aggregate.failover.shed, 0u) << aggregate.ToString();
   ASSERT_GT(aggregate.failover.retry_bytes, 0u) << aggregate.ToString();
   ASSERT_GT(aggregate.failovers, 0u) << aggregate.ToString();
+  const FaultStats faults = fleet.FaultStatsTotal();
+  ASSERT_GT(faults.injected, 0u) << faults.ToString();
+  ASSERT_GT(faults.stuck_cells, 0u) << faults.ToString();
 
   std::vector<ShardedPimEngine::ShardHealth> health;
   for (size_t j = 0; j < fleet.shards(); ++j) {
@@ -687,11 +692,80 @@ TEST(FleetHealthTest, CounterTableEntriesSumAndExportPerShard) {
   PIMINE_SHARD_LINK_COUNTERS(PIMINE_CHECK_ENTRY)
 #undef PIMINE_CHECK_ENTRY
 #define PIMINE_CHECK_ENTRY(field, family, help)                      \
+  check_entry(#field, family, help, faults.field,                     \
+              [](const ShardedPimEngine::ShardHealth& h) -> uint64_t { \
+                return h.fault.field;                                  \
+              });
+  PIMINE_FAULT_COUNTERS(PIMINE_CHECK_ENTRY)
+#undef PIMINE_CHECK_ENTRY
+#define PIMINE_CHECK_ENTRY(field, family, help)                      \
   check_entry(#field, family, help, aggregate.failover.field,         \
               [](const ShardedPimEngine::ShardHealth& h) -> uint64_t { \
                 return h.failover.field;                               \
               });
   PIMINE_FAILOVER_COUNTERS(PIMINE_CHECK_ENTRY)
+#undef PIMINE_CHECK_ENTRY
+}
+
+// Driven by the serve tables: after a live two-tenant run, every entry of
+// PIMINE_SERVE_COUNTERS appears in the /metrics document as one HELP/TYPE
+// pair and one sample valued as LiveStats(), and every entry of
+// PIMINE_TENANT_COUNTERS as one {tenant="name"} sample per tenant.
+TEST(ServeTelemetryTest, CounterTableEntriesExportOnce) {
+  const FloatMatrix data = RandomUnitMatrix(120, 16, 21);
+  const FloatMatrix queries = RandomUnitMatrix(8, 16, 22);
+  EngineOptions engine_options;
+  engine_options.pim_config.num_crossbars = 4096;
+  engine_options.shard.shards = 2;
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = 4;
+  serve_options.k = 3;
+  serve_options.tenants = {{"gold", 3}, {"free", 1}};
+  auto server = serve::PimServer::Build(data, Distance::kEuclidean,
+                                        engine_options, serve_options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+  for (int i = 0; i < 12; ++i) {
+    auto result = (*server)->Submit(static_cast<uint32_t>(i % 2),
+                                    queries.row(static_cast<size_t>(i) % 8));
+    ASSERT_TRUE(result.ok());
+  }
+  (*server)->Stop();
+  const serve::ServeStats stats = (*server)->LiveStats();
+  const std::string text = (*server)->MetricsText();
+  CheckStrictExposition(text);
+  ASSERT_EQ(stats.tenants.size(), 2u);
+  ASSERT_EQ(stats.tenants[1].submitted, 6u);
+
+  const auto check_family = [&](const std::string& family,
+                                const std::string& help, size_t samples) {
+    EXPECT_EQ(CountLines(text, "# TYPE " + family + " counter"), 1u);
+    EXPECT_EQ(CountLines(text, "# HELP " + family + " " + help), 1u);
+    EXPECT_EQ(SampleLines(text, family).size(), samples);
+  };
+#define PIMINE_CHECK_ENTRY(field, family, help)                        \
+  {                                                                     \
+    SCOPED_TRACE(#field);                                               \
+    check_family(family, help, 1);                                      \
+    EXPECT_EQ(CountLines(text, std::string(family) + " " +              \
+                                   std::to_string(stats.field)),        \
+              1u);                                                      \
+  }
+  PIMINE_SERVE_COUNTERS(PIMINE_CHECK_ENTRY)
+#undef PIMINE_CHECK_ENTRY
+#define PIMINE_CHECK_ENTRY(field, family, help)                         \
+  {                                                                      \
+    SCOPED_TRACE(#field);                                                \
+    check_family(family, help, stats.tenants.size());                    \
+    for (const serve::TenantServeStats& t : stats.tenants) {             \
+      EXPECT_EQ(CountLines(text, std::string(family) + "{tenant=\"" +    \
+                                     t.name + "\"} " +                   \
+                                     std::to_string(t.field)),           \
+                1u)                                                      \
+          << t.name;                                                     \
+    }                                                                    \
+  }
+  PIMINE_TENANT_COUNTERS(PIMINE_CHECK_ENTRY)
 #undef PIMINE_CHECK_ENTRY
 }
 

@@ -201,14 +201,10 @@ void PrintRunStats(const RunStats& stats, const HostCostModel& model) {
   table.AddRow({"PIM results loaded",
                 std::to_string(stats.traffic.pim_results_loaded)});
   if (stats.fault.Any()) {
-    table.AddRow({"faults injected", std::to_string(stats.fault.injected)});
-    table.AddRow({"faults detected", std::to_string(stats.fault.detected)});
-    table.AddRow({"faults escaped", std::to_string(stats.fault.escaped)});
-    table.AddRow({"fault retries", std::to_string(stats.fault.retries)});
-    table.AddRow({"rows remapped",
-                  std::to_string(stats.fault.remapped_rows)});
-    table.AddRow({"host escalations",
-                  std::to_string(stats.fault.escalated_to_host)});
+#define PIMINE_FAULT_ROW(field, family, help) \
+  table.AddRow({"fault " #field, std::to_string(stats.fault.field)});
+    PIMINE_FAULT_COUNTERS(PIMINE_FAULT_ROW)
+#undef PIMINE_FAULT_ROW
     table.AddRow({"recovery model_ms", Fmt(stats.fault.recovery_ns / 1e6, 4)});
   }
   if (stats.fleet.Any()) {

@@ -143,16 +143,10 @@ serve::ServeOptions ServeFromFlags(const FlagParser& flags) {
 
 void PrintServeStats(const serve::ServeStats& stats) {
   TablePrinter table({"metric", "value"});
-  table.AddRow({"submitted", std::to_string(stats.submitted)});
-  table.AddRow({"served", std::to_string(stats.served)});
-  table.AddRow({"rejected (backpressure)", std::to_string(stats.rejected)});
-  table.AddRow({"deadline misses", std::to_string(stats.deadline_misses)});
-  if (stats.shed_queries > 0 || stats.degraded_batches > 0) {
-    table.AddRow({"shed (degraded mode)", std::to_string(stats.shed_queries)});
-    table.AddRow(
-        {"degraded dispatches", std::to_string(stats.degraded_batches)});
-  }
-  table.AddRow({"dispatches", std::to_string(stats.batches)});
+#define PIMINE_SERVE_ROW(field, family, help) \
+  table.AddRow({#field, std::to_string(stats.field)});
+  PIMINE_SERVE_COUNTERS(PIMINE_SERVE_ROW)
+#undef PIMINE_SERVE_ROW
   table.AddRow({"mean batch occupancy", Fmt(stats.mean_batch_occupancy)});
   table.AddRow({"max queue depth", std::to_string(stats.max_queue_depth)});
   table.AddRow({"makespan_ms", Fmt(stats.makespan_ns / 1e6, 4)});
